@@ -1,7 +1,8 @@
 """Command-line surface: synth, ingest, train, infer, eval, gradcheck.
 
-Exit codes: 0 on success, 2 on validation or configuration errors, 3 on
-numerical failures (NaN loss, failed gradient check).
+Exit codes: 0 on success, 2 on validation or configuration errors (missing
+or truncated input files included), 3 on numerical failures (NaN loss,
+failed gradient check).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -21,7 +20,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .evaluate import evaluate_multi, evaluate_single, select_eval_points, sliding_infer
+from .evaluate import evaluate_multi, evaluate_single, sliding_infer
 from .graph import StgSequence, load_stgs, save_stgs
 from .ingest import ingest_cad120_file
 from .gradcheck import check_model_gradients
@@ -131,21 +130,10 @@ def cmd_eval(args) -> int:
         )
     else:
         metrics = evaluate_multi(seqs, model, window=args.window, hop=args.hop)
-        # multi mode also reports raw score timelines and the sampled points
-        details = []
-        for path, seq in data:
-            timeline = sliding_infer(seq, model, window=args.window, hop=args.hop)
-            available = np.flatnonzero(seq.label_mask)
-            points = [int(available[i]) for i in select_eval_points(len(available))]
-            details.append(
-                {
-                    "path": path,
-                    "eval_points": points,
-                    "point_scores": timeline.scores[points].tolist(),
-                    "full_scores": timeline.scores.tolist(),
-                }
-            )
-        metrics["sequences"] = details
+        # name each sequence's score details by its STGS path
+        metrics["sequences"] = [
+            {"path": path, **details} for (path, _), details in zip(data, metrics["sequences"])
+        ]
     with open(args.out, "w") as fh:
         json.dump(metrics, fh)
     key = "macro_f1" if mode == "single" else "mAP"
@@ -251,7 +239,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ConfigurationError, ContractError, DimensionError) as exc:
+    except (
+        ValidationError, ConfigurationError, ContractError, DimensionError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

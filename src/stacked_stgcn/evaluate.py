@@ -184,21 +184,32 @@ def evaluate_multi(
     hop: int = 10,
     eval_points: int = 25,
 ) -> dict:
-    """mAP over score vectors sampled at equally spaced points per sequence."""
-    all_scores, all_truth = [], []
+    """mAP over score vectors sampled at equally spaced points per sequence.
+
+    ``sequences`` in the result holds, per input sequence, the sampled
+    ``eval_points``, their ``point_scores`` and the ``full_scores`` timeline.
+    """
+    all_scores, all_truth, details = [], [], []
     for seq in sequences:
         timeline = sliding_infer(seq, model, window=window, hop=hop)
         available = np.flatnonzero(seq.label_mask)
-        points = [available[i] for i in select_eval_points(len(available), eval_points)]
+        points = [int(available[i]) for i in select_eval_points(len(available), eval_points)]
         all_scores.append(timeline.scores[points])
         all_truth.append(seq.labels[points])
+        details.append(
+            {
+                "eval_points": points,
+                "point_scores": timeline.scores[points].tolist(),
+                "full_scores": timeline.scores.tolist(),
+            }
+        )
     scores = np.vstack(all_scores)
     truth = np.vstack(all_truth)
     per_class = {}
     for c in range(scores.shape[1]):
         if truth[:, c].any():
             per_class[str(c)] = {"ap": average_precision(scores[:, c], truth[:, c])}
-    return {"per_class": per_class, "mAP": mean_ap(scores, truth)}
+    return {"per_class": per_class, "mAP": mean_ap(scores, truth), "sequences": details}
 
 
 def _per_class_prf(pred: np.ndarray, true: np.ndarray, num_classes: int) -> dict:

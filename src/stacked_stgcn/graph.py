@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import blocks
 from .errors import ValidationError
 from .tensor import DTYPE, dump_tensor, load_tensor
 
@@ -67,10 +69,13 @@ class StgSequence:
 
 @dataclass(frozen=True)
 class AdjacencyPair:
-    """Raw (un-normalized) spatial and temporal adjacency, both N_t x N_t.
+    """Raw (un-normalized) spatial and temporal adjacency in block layout.
 
-    Spatial adjacency is block-diagonal over timesteps; absent nodes have
-    all-zero rows and columns in both matrices.
+    Each matrix is a (T, 2b+1, N, N) block array (see :mod:`stacked_stgcn.blocks`)
+    whose entry ``[t, b + delta, i, j]`` is the weight between (track i,
+    timestep t) and (track j, timestep t + delta). Spatial adjacency is
+    block-diagonal over timesteps (b = 0); temporal adjacency has band
+    b = min(span, T - 1). Absent nodes have all-zero rows and columns in both.
     """
 
     a_s: np.ndarray
@@ -142,7 +147,8 @@ def build_adjacency(
     """Assemble raw spatial and temporal adjacency for a validated sequence.
 
     A_s carries intra-cluster spatial edges, block-diagonal over time. A_t
-    carries temporal edges with gap delta in [1, span]; when
+    carries temporal edges with gap delta in [1, span] in a band of half-width
+    min(span, T - 1) (see :class:`AdjacencyPair`); when
     ``cross_cluster_in_temporal`` is set, spatial edges between tracks of
     different clusters are folded into A_t instead of A_s. Weights are
     symmetrized by max.
@@ -151,25 +157,32 @@ def build_adjacency(
         raise ValidationError("span must be >= 1")
     validate_sequence(seq)
     T, N = seq.num_steps, seq.num_tracks
-    nt = N * T
-    a_s = np.zeros((nt, nt), dtype=DTYPE)
-    a_t = np.zeros((nt, nt), dtype=DTYPE)
-    for t, edges in enumerate(seq.spatial_edges):
-        for i, j, w in edges:
-            if i == j:
-                continue
-            u, v = flat_index(i, t, N), flat_index(j, t, N)
-            same_cluster = seq.tracks[i].cluster_id == seq.tracks[j].cluster_id
-            target = a_t if (cross_cluster_in_temporal and not same_cluster) else a_s
-            target[u, v] = max(target[u, v], DTYPE(w))
-            target[v, u] = target[u, v]
-    for i, ti, j, tj, w in seq.temporal_edges:
-        if tj - ti > span:
-            continue
-        u, v = flat_index(i, ti, N), flat_index(j, tj, N)
-        a_t[u, v] = max(a_t[u, v], DTYPE(w))
-        a_t[v, u] = a_t[u, v]
+    a_s = blocks.zeros(T, 0, N, DTYPE)
+    a_t = blocks.zeros(T, span, N, DTYPE)
+    t = np.repeat(np.arange(T), [len(edges) for edges in seq.spatial_edges])
+    i, j, w = _edge_columns(list(chain.from_iterable(seq.spatial_edges)), 3)
+    keep = i != j
+    t, i, j, w = t[keep], i[keep], j[keep], w[keep]
+    cross = np.zeros(t.shape, dtype=bool)
+    if cross_cluster_in_temporal:
+        cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
+        cross = cluster[i] != cluster[j]
+    blocks.raise_symmetric(a_s, t[~cross], 0, i[~cross], j[~cross], w[~cross])
+    blocks.raise_symmetric(a_t, t[cross], 0, i[cross], j[cross], w[cross])
+    i, ti, j, tj, w = _edge_columns(seq.temporal_edges, 5)
+    near = tj - ti <= span
+    blocks.raise_symmetric(a_t, ti[near], (tj - ti)[near], i[near], j[near], w[near])
     return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=T)
+
+
+def _edge_columns(edges: Sequence[tuple], width: int) -> List[np.ndarray]:
+    """Columns of ``width``-tuples: indices as intp, the last (the weight) as float32."""
+    table = np.fromiter(
+        chain.from_iterable(edges), dtype=np.float64, count=width * len(edges)
+    ).reshape(-1, width)
+    return [table[:, c].astype(np.intp) for c in range(width - 1)] + [
+        table[:, -1].astype(DTYPE)
+    ]
 
 
 def apply_deformation(

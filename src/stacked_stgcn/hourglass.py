@@ -1,7 +1,9 @@
 """Encoder-decoder hourglass over STGCN layers, and stacking of blocks.
 
 Each encoder level runs an STGCN layer and then a strided temporal
-convolution; adjacency matrices are subsampled per level to match. The
+convolution; adjacency is subsampled per level to match, keeping its block
+layout (see :class:`stacked_stgcn.graph.AdjacencyPair`): every stride-th
+timestep survives, and so do band offsets divisible by the stride. The
 decoder mirrors with transposed convolutions, adding same-level encoder
 outputs when skip connections are on. Temporal extents that do not divide
 by the stride are zero-padded before the strided convolution and cropped
@@ -16,9 +18,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as tn
+from .blocks import subsample as subsample_blocks
 from .errors import DimensionError
 from .graph import AdjacencyPair
-from .layers import StgcnLayerParams, assemble_rows, normalize_adjacency, stgcn_layer
+from .layers import StgcnLayerParams, normalize_adjacency, stgcn_layer
+from .layers import assemble_rows  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .tensor import Tensor
 
 
@@ -33,34 +37,32 @@ class HourglassConfig:
 
 @dataclass(frozen=True)
 class LevelAdjacency:
-    """Normalized adjacency for one resolution level."""
+    """Normalized spatial and temporal adjacency blocks for one resolution level."""
 
-    ns: Tensor
-    nt: Tensor
+    ns: np.ndarray
+    nt: np.ndarray
     num_steps: int
     num_tracks: int
 
 
 def subsample_adjacency(adj: AdjacencyPair, stride: int) -> AdjacencyPair:
-    """Keep every stride-th timestep block of both adjacency matrices.
+    """Keep every stride-th timestep of both adjacency matrices.
 
     Surviving timesteps are 0, s, 2s, ...; surviving pairs stay connected
     iff they were connected in the input, so temporal edges must have
-    spanned the gap for coarse-level connectivity to exist.
+    spanned the gap for coarse-level connectivity to exist. A band of
+    half-width b becomes one of half-width b // stride.
     """
     if stride < 1:
         raise DimensionError("stride must be >= 1")
     if stride == 1:
         return adj
-    N, T = adj.num_tracks, adj.num_steps
-    keep_t = np.arange(0, T, stride)
-    rows = (keep_t[:, None] * N + np.arange(N)[None, :]).reshape(-1)
-    sel = np.ix_(rows, rows)
+    a_s = subsample_blocks(adj.a_s, stride)
     return AdjacencyPair(
-        a_s=adj.a_s[sel].copy(),
-        a_t=adj.a_t[sel].copy(),
-        num_tracks=N,
-        num_steps=len(keep_t),
+        a_s=a_s,
+        a_t=subsample_blocks(adj.a_t, stride),
+        num_tracks=adj.num_tracks,
+        num_steps=a_s.shape[0],
     )
 
 
@@ -73,8 +75,8 @@ def build_level_adjacency(
     for _ in range(levels + 1):
         out.append(
             LevelAdjacency(
-                ns=Tensor(normalize_adjacency(cur.a_s)),
-                nt=Tensor(normalize_adjacency(cur.a_t)),
+                ns=normalize_adjacency(cur.a_s),
+                nt=normalize_adjacency(cur.a_t),
                 num_steps=cur.num_steps,
                 num_tracks=cur.num_tracks,
             )
@@ -83,8 +85,9 @@ def build_level_adjacency(
     return out
 
 
-def _node_rows(n: int, num_tracks: int, num_steps: int) -> np.ndarray:
-    return np.arange(num_steps) * num_tracks + n
+def _check_rows(h: Tensor, num_tracks: int, num_steps: int) -> None:
+    if h.shape[0] != num_tracks * num_steps:
+        raise DimensionError(f"{h.shape[0]} rows != {num_tracks} tracks x {num_steps} steps")
 
 
 def temporal_conv_flat(
@@ -95,18 +98,9 @@ def temporal_conv_flat(
     Input is zero-padded at the end to a multiple of the stride so the
     output has ceil(T/stride) steps, matching adjacency subsampling.
     """
-    k = kernel.shape[0]
-    t_pad = -(-num_steps // stride) * stride
-    d = h.shape[1]
-    t_out = -(-num_steps // stride)
-    pieces = []
-    for n in range(num_tracks):
-        x = tn.gather_rows(h, _node_rows(n, num_tracks, num_steps))
-        if t_pad > num_steps:
-            x = tn.concat([x, Tensor(np.zeros((t_pad - num_steps, d)))], axis=0)
-        y = tn.conv1d_temporal(x, kernel, stride)
-        pieces.append((_node_rows(n, num_tracks, t_out), y))
-    return assemble_rows(pieces, num_tracks * t_out)
+    _check_rows(h, num_tracks, num_steps)
+    pad = -(-num_steps // stride) * stride - num_steps
+    return tn.conv1d_temporal(h, kernel, stride, nodes=num_tracks, pad=pad)
 
 
 def temporal_deconv_flat(
@@ -118,18 +112,8 @@ def temporal_deconv_flat(
     target_steps: int,
 ) -> Tensor:
     """Transposed convolution along time per node, cropped to target_steps."""
-    pieces = []
-    for n in range(num_tracks):
-        x = tn.gather_rows(h, _node_rows(n, num_tracks, num_steps))
-        y = tn.deconv1d_temporal(x, kernel, stride)
-        if y.shape[0] < target_steps:
-            raise DimensionError(
-                f"deconv produced {y.shape[0]} steps, need {target_steps}"
-            )
-        if y.shape[0] > target_steps:
-            y = tn.slice_axis(y, 0, 0, target_steps)
-        pieces.append((_node_rows(n, num_tracks, target_steps), y))
-    return assemble_rows(pieces, num_tracks * target_steps)
+    _check_rows(h, num_tracks, num_steps)
+    return tn.deconv1d_temporal(h, kernel, stride, nodes=num_tracks, steps=target_steps)
 
 
 @dataclass
@@ -226,8 +210,12 @@ def stack_forward(
 def head_forward(
     h: Tensor, pool: np.ndarray, w: Tensor, b: Optional[Tensor] = None
 ) -> Tensor:
-    """Spatial mean-pool per timestep, then an affine map to class scores."""
-    scores = tn.matmul(tn.matmul(Tensor(pool), h), w)
+    """Spatial mean-pool per timestep, then an affine map to class scores.
+
+    ``pool`` is the (T, 1, 1, N) block array of :func:`pooling_matrix`, or a
+    dense T x N_t matrix.
+    """
+    scores = tn.matmul(tn.banded_matmul(pool, h), w)
     if b is not None:
         scores = tn.add(scores, b)
     return scores

@@ -6,6 +6,13 @@ different lengths) followed by a temporal graph convolution across
 timesteps, with ReLU applied only after the temporal step. The degenerate
 form with fixed grid-like temporal connections collapses both weight
 matrices into a single spatial convolution.
+
+Adjacency, centering and pooling are constant block arrays (see
+:mod:`stacked_stgcn.blocks`) applied with :func:`stacked_stgcn.tensor.banded_matmul`:
+spatial adjacency and centering are block-diagonal, temporal adjacency is a
+band of half-width span, and mean-pooling has one output row per timestep.
+A dense N_t x N_t matrix is accepted wherever adjacency is, as the one-block
+case T = 1.
 """
 
 from __future__ import annotations
@@ -15,27 +22,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import blocks
 from . import tensor as tn
-from .errors import ConfigurationError, DimensionError, ValidationError
-from .graph import StgSequence, flat_index
+from .errors import ConfigurationError, ContractError, DimensionError, ValidationError
+from .graph import StgSequence
 from .tensor import DTYPE, Tensor
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     """Self-loop augmented symmetric normalization D^-1/2 (I+A) D^-1/2.
 
-    Isolated nodes get degree 1 from the self loop, so no division by zero.
+    ``a`` is a square matrix or a (T, 2b+1, N, N) block array; the result
+    has the same layout. Isolated nodes get degree 1 from the self loop, so
+    no division by zero.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("adjacency must be square")
-    if np.any(a < 0):
-        raise ValidationError("adjacency entries must be nonnegative")
-    if not np.array_equal(a, a.T):
-        raise ValidationError("adjacency must be symmetric")
-    a_hat = a.astype(np.float64) + np.eye(a.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return (d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]).astype(DTYPE)
+    out = blocks.normalize_symmetric(blocks.as_blocks(a)).astype(DTYPE)
+    return out[0, 0] if a.ndim == 2 else out
 
 
 @dataclass
@@ -54,15 +57,19 @@ class StgcnLayerParams:
     bias: Optional[Tensor] = None
 
 
+def _track_rows(tracks: np.ndarray, num_tracks: int, num_steps: int) -> np.ndarray:
+    """Flat node-time rows of the given tracks, track-major (track, then time)."""
+    return (tracks[:, None] + np.arange(num_steps)[None, :] * num_tracks).reshape(-1)
+
+
 def cluster_row_index(seq: StgSequence) -> Dict[int, np.ndarray]:
     """Flat node-time row indices per cluster, for a given sequence."""
     N, T = seq.num_tracks, seq.num_steps
-    rows: Dict[int, List[int]] = {}
-    for n, tr in enumerate(seq.tracks):
-        rows.setdefault(tr.cluster_id, []).extend(
-            flat_index(n, t, N) for t in range(T)
-        )
-    return {c: np.asarray(v, dtype=np.intp) for c, v in rows.items()}
+    clusters = np.asarray([tr.cluster_id for tr in seq.tracks])
+    return {
+        c: _track_rows(np.flatnonzero(clusters == c), N, T)
+        for c in dict.fromkeys(clusters.tolist())
+    }
 
 
 def assemble_rows(pieces: Sequence[Tuple[np.ndarray, Tensor]], total_rows: int) -> Tensor:
@@ -106,31 +113,31 @@ def _project_uniform(h: Tensor, params: StgcnLayerParams) -> Tensor:
     return spatial_project(inputs, total)
 
 
-def stgcn_layer(h: Tensor, ns: Tensor, nt: Tensor, params: StgcnLayerParams) -> Tensor:
+def _constant(a) -> np.ndarray:
+    if isinstance(a, Tensor):
+        if a.tape is not None:
+            raise ContractError("adjacency must be a constant, not a taped tensor")
+        return a.data
+    return a
+
+
+def stgcn_layer(h: Tensor, ns, nt, params: StgcnLayerParams) -> Tensor:
     """Generalized STGCN: temporal GCN over the spatial GCN's output.
 
-    ``ns`` and ``nt`` are the normalized spatial and temporal adjacency
-    (both N_t x N_t, spatial block-diagonal over time). Activation is ReLU
-    after the temporal step only.
+    ``ns`` and ``nt`` are the normalized spatial and temporal adjacency, as
+    block arrays or as dense N_t x N_t matrices (arrays or untaped tensors).
+    Activation is ReLU after the temporal step only.
     """
-    if h.shape[0] != nt.shape[0] or h.shape[0] != ns.shape[0]:
-        raise DimensionError(
-            f"row count {h.shape[0]} does not match adjacency {nt.shape[0]}"
-        )
-    h_s = tn.matmul(ns, _project_uniform(h, params))
-    out = tn.matmul(nt, tn.matmul(h_s, params.w_t))
+    h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
+    out = tn.banded_matmul(_constant(nt), tn.matmul(h_s, params.w_t))
     if params.bias is not None:
         out = tn.add(out, params.bias)
     return tn.relu(out)
 
 
-def stgcn_layer_grid(h: Tensor, ns: Tensor, params: StgcnLayerParams) -> Tensor:
+def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
     """Degenerate form with fixed grid temporal connections: no temporal mixing."""
-    if h.shape[0] != ns.shape[0]:
-        raise DimensionError(
-            f"row count {h.shape[0]} does not match adjacency {ns.shape[0]}"
-        )
-    h_s = tn.matmul(ns, _project_uniform(h, params))
+    h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
     out = tn.matmul(h_s, params.w_t)
     if params.bias is not None:
         out = tn.add(out, params.bias)
@@ -158,55 +165,39 @@ def harmonize_projection(seq: StgSequence, kernels: Dict[str, Tensor]) -> Tensor
                 f"kernel for {node_type!r} expects width {kernel.shape[0]}, "
                 f"got {feats.shape[1]}"
             )
-        idx = np.asarray(
-            [flat_index(n, t, N) for n in track_ids for t in range(T)], dtype=np.intp
-        )
+        idx = _track_rows(np.asarray(track_ids), N, T)
         pieces.append((idx, tn.matmul(Tensor(feats), kernel)))
     return assemble_rows(pieces, N * T)
 
 
+def _presence_counts(presence: np.ndarray, num_tracks: int):
+    """Presence as (T, N) floats, and the count of present nodes per timestep (min 1)."""
+    p = presence.reshape(-1, num_tracks).astype(np.float64)
+    return p, np.maximum(p.sum(axis=1), 1.0)
+
+
 def centering_matrix(presence: np.ndarray, num_tracks: int) -> np.ndarray:
-    """Linear map that subtracts the per-timestep mean over present nodes.
+    """(T, 1, N, N) blocks that subtract the per-timestep mean over present nodes.
 
     ``presence`` is the flat (N_t,) mask in timestep-major order. Absent
     rows map to zero.
     """
-    nt = presence.shape[0]
-    T = nt // num_tracks
-    mat = np.zeros((nt, nt), dtype=DTYPE)
-    for t in range(T):
-        block = slice(t * num_tracks, (t + 1) * num_tracks)
-        idx = np.flatnonzero(presence[block]) + t * num_tracks
-        if idx.size == 0:
-            continue
-        mat[np.ix_(idx, idx)] = -1.0 / idx.size
-        mat[idx, idx] += 1.0
-    return mat
+    p, count = _presence_counts(presence, num_tracks)
+    mat = p[:, :, None] * (np.eye(num_tracks) - p[:, None, :] / count[:, None, None])
+    return blocks.block_diagonal(mat.astype(DTYPE))
 
 
 def subtract_mean(h: Tensor, presence: np.ndarray, num_tracks: int) -> Tensor:
     """Per timestep and channel, subtract the mean over present nodes."""
-    return tn.matmul(Tensor(centering_matrix(presence, num_tracks)), h)
+    return tn.banded_matmul(centering_matrix(presence, num_tracks), h)
 
 
 def flat_presence(seq: StgSequence) -> np.ndarray:
     """Presence mask flattened in timestep-major node-time order."""
-    N, T = seq.num_tracks, seq.num_steps
-    mask = np.zeros(N * T, dtype=bool)
-    for n, tr in enumerate(seq.tracks):
-        for t in range(T):
-            mask[flat_index(n, t, N)] = tr.presence[t]
-    return mask
+    return np.stack([tr.presence for tr in seq.tracks], axis=1).reshape(-1)
 
 
 def pooling_matrix(presence: np.ndarray, num_tracks: int) -> np.ndarray:
-    """(T x N_t) mean-pool over present nodes per timestep; zero when none."""
-    nt = presence.shape[0]
-    T = nt // num_tracks
-    mat = np.zeros((T, nt), dtype=DTYPE)
-    for t in range(T):
-        idx = np.flatnonzero(presence[t * num_tracks : (t + 1) * num_tracks])
-        if idx.size == 0:
-            continue
-        mat[t, idx + t * num_tracks] = 1.0 / idx.size
-    return mat
+    """(T, 1, 1, N) blocks mean-pooling present nodes per timestep; zero when none."""
+    p, count = _presence_counts(presence, num_tracks)
+    return blocks.block_diagonal((p / count[:, None])[:, None, :].astype(DTYPE))

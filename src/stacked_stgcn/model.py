@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ConfigurationError, ValidationError
-from .graph import StgSequence, build_adjacency, flat_index
+from .graph import StgSequence, build_adjacency
 from .hourglass import (
     DecoderLevelParams,
     EncoderLevelParams,
@@ -195,8 +195,8 @@ class StgcnModel:
             raise ValidationError(
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
-        N, T = seq.num_tracks, seq.num_steps
-        total = N * T
+        N = seq.num_tracks
+        total = N * seq.num_steps
         cross = cfg.harmonization == "per-cluster-gcn"
         if levels is None:
             levels = self.prepare_levels(seq)
@@ -250,22 +250,13 @@ class StgcnModel:
         else:
             from .layers import cluster_row_index
 
-            rows = cluster_row_index(seq)
-            raw = {}
-            for c, idx in rows.items():
-                feats = np.concatenate(
+            # cluster rows are track-major, matching the concatenated features
+            raw = {
+                c: (idx, Tensor(np.concatenate(
                     [tr.features for tr in seq.tracks if tr.cluster_id == c], axis=0
-                )
-                order = np.asarray(
-                    [
-                        flat_index(n, t, N)
-                        for n, tr in enumerate(seq.tracks)
-                        if tr.cluster_id == c
-                        for t in range(T)
-                    ],
-                    dtype=np.intp,
-                )
-                raw[c] = (order, Tensor(feats))
+                )))
+                for c, idx in cluster_row_index(seq).items()
+            }
             prefix = "block0/enc0" if cfg.levels >= 1 else "block0/bottleneck"
             wt_first = taped[f"{prefix}/wt"]
             bias_first = taped.get(f"{prefix}/bias")
@@ -277,8 +268,8 @@ class StgcnModel:
                 )
                 if cfg.center_input:
                     proj = subtract_mean(proj, presence, N)
-                h_s = tn.matmul(ns, proj)
-                out = tn.matmul(nt, tn.matmul(h_s, wt_first))
+                h_s = tn.banded_matmul(ns, proj)
+                out = tn.banded_matmul(nt, tn.matmul(h_s, wt_first))
                 if bias_first is not None:
                     out = tn.add(out, bias_first)
                 return tn.relu(out)

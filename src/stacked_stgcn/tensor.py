@@ -16,6 +16,7 @@ from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .blocks import as_blocks, band_slices
 from .errors import ContractError, DimensionError, NumericalError
 
 DTYPE = np.float32
@@ -35,6 +36,7 @@ __all__ = [
     "concat",
     "slice_axis",
     "gather_rows",
+    "banded_matmul",
     "conv1d_temporal",
     "deconv1d_temporal",
     "record",
@@ -176,9 +178,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"inner extents differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    a_taped, b_taped = a.tape is not None, b.tape is not None
 
     def grad_fn(gout):
-        return [_mm64(gout, bd.T), _mm64(ad.T, gout)]
+        return [
+            _mm64(gout, bd.T) if a_taped else None,
+            _mm64(ad.T, gout) if b_taped else None,
+        ]
 
     return record(_mm64(ad, bd), [a, b], grad_fn)
 
@@ -310,70 +316,124 @@ def gather_rows(x: Tensor, indices: Iterable[int]) -> Tensor:
     return record(x.data[idx], [x], grad_fn)
 
 
-def conv1d_temporal(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Valid (no-padding) strided 1-D convolution along the leading axis.
+def banded_matmul(blocks: np.ndarray, x: Tensor) -> Tensor:
+    """Product of a constant block-banded matrix with a rank-2 tensor.
 
-    ``x`` is T x d_in, ``kernel`` is k x d_in x d_out; output has
-    ceil((T-k+1)/stride) steps.
+    ``blocks`` is a (T, 2b+1, M, N) block array (see :mod:`stacked_stgcn.blocks`)
+    or a plain 2-D matrix; ``x`` has T*N timestep-major rows and the output
+    T*M. Only ``x`` receives a gradient.
     """
+    a = as_blocks(blocks)
+    if x.data.ndim != 2:
+        raise DimensionError("banded_matmul expects a rank-2 tensor")
+    T, width, M, N = a.shape
+    if x.shape[0] != T * N:
+        raise DimensionError(f"row count {x.shape[0]} does not match adjacency {T * N}")
+    d = x.shape[1]
+    a64 = a.astype(np.float64)
+    xd = x.data.astype(np.float64).reshape(T, N, d)
+    out = np.zeros((T, M, d), dtype=np.float64)
+    for k, delta, lo, hi in band_slices(T, width):
+        out[lo:hi] += a64[lo:hi, k] @ xd[lo + delta : hi + delta]
+
+    def grad_fn(gout):
+        g64 = gout.astype(np.float64).reshape(T, M, d)
+        gx = np.zeros((T, N, d), dtype=np.float64)
+        for k, delta, lo, hi in band_slices(T, width):
+            gx[lo + delta : hi + delta] += a64[lo:hi, k].transpose(0, 2, 1) @ g64[lo:hi]
+        return [gx.reshape(T * N, d).astype(DTYPE)]
+
+    return record(out.reshape(T * M, d).astype(DTYPE), [x], grad_fn)
+
+
+def _temporal_shapes(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: int):
     if stride < 1:
         raise DimensionError("stride must be positive")
+    if nodes < 1:
+        raise DimensionError("nodes must be positive")
     if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise DimensionError("conv1d_temporal expects x rank 2 and kernel rank 3")
-    t_in, d_in = x.shape
+        raise DimensionError(f"{name} expects x rank 2 and kernel rank 3")
+    rows, d_in = x.shape
     k, kd_in, d_out = kernel.shape
     if kd_in != d_in:
         raise DimensionError(f"kernel input width {kd_in} != feature width {d_in}")
-    if t_in < k:
-        raise DimensionError(f"temporal extent {t_in} shorter than kernel {k}")
-    n_out = (t_in - k) // stride + 1
-    xd = x.data.astype(np.float64)
+    if rows % nodes:
+        raise DimensionError(f"{rows} rows do not split into {nodes} nodes")
+    return rows // nodes, d_in, k, d_out
+
+
+def conv1d_temporal(
+    x: Tensor, kernel: Tensor, stride: int, nodes: int = 1, pad: int = 0
+) -> Tensor:
+    """Valid strided 1-D convolution along time, per node.
+
+    ``x`` is (T*nodes) x d_in in timestep-major order, i.e. a (T, nodes, d_in)
+    stack whose nodes are convolved independently; ``kernel`` is
+    k x d_in x d_out. ``pad`` zero steps are appended first; the output has
+    ceil((T+pad-k+1)/stride) steps in the same layout.
+    """
+    t_in, d_in, k, d_out = _temporal_shapes("conv1d_temporal", x, kernel, stride, nodes)
+    t_len = t_in + pad
+    if t_len < k:
+        raise DimensionError(f"temporal extent {t_len} shorter than kernel {k}")
+    n_out = (t_len - k) // stride + 1
+    xd = np.zeros((t_len, nodes, d_in), dtype=np.float64)
+    xd[:t_in] = x.data.reshape(t_in, nodes, d_in)
     kd = kernel.data.astype(np.float64)
-    out = np.zeros((n_out, d_out), dtype=np.float64)
-    for j in range(k):
-        out += xd[j : j + (n_out - 1) * stride + 1 : stride] @ kd[j]
+    out = np.zeros((n_out * nodes, d_out), dtype=np.float64)
+    taps = [slice(j, j + (n_out - 1) * stride + 1, stride) for j in range(k)]
+    for j, rows in enumerate(taps):
+        out += xd[rows].reshape(-1, d_in) @ kd[j]
 
     def grad_fn(gout):
         g64 = gout.astype(np.float64)
-        gx = np.zeros((t_in, d_in), dtype=np.float64)
+        gx = np.zeros((t_len, nodes, d_in), dtype=np.float64)
         gk = np.zeros((k, d_in, d_out), dtype=np.float64)
-        for j in range(k):
-            rows = slice(j, j + (n_out - 1) * stride + 1, stride)
-            gx[rows] += g64 @ kd[j].T
-            gk[j] = xd[rows].T @ g64
-        return [gx.astype(DTYPE), gk.astype(DTYPE)]
+        for j, rows in enumerate(taps):
+            gx[rows] += (g64 @ kd[j].T).reshape(n_out, nodes, d_in)
+            gk[j] = xd[rows].reshape(-1, d_in).T @ g64
+        return [gx[:t_in].reshape(-1, d_in).astype(DTYPE), gk.astype(DTYPE)]
 
     return record(out.astype(DTYPE), [x, kernel], grad_fn)
 
 
-def deconv1d_temporal(x: Tensor, kernel: Tensor, stride: int) -> Tensor:
-    """Transposed 1-D convolution; output has (T-1)*stride + k steps."""
-    if stride < 1:
-        raise DimensionError("stride must be positive")
-    if x.data.ndim != 2 or kernel.data.ndim != 3:
-        raise DimensionError("deconv1d_temporal expects x rank 2 and kernel rank 3")
-    t_in, d_in = x.shape
-    k, kd_in, d_out = kernel.shape
-    if kd_in != d_in:
-        raise DimensionError(f"kernel input width {kd_in} != feature width {d_in}")
-    t_out = (t_in - 1) * stride + k
+def deconv1d_temporal(
+    x: Tensor, kernel: Tensor, stride: int, nodes: int = 1, steps: Optional[int] = None
+) -> Tensor:
+    """Transposed 1-D convolution along time; output has (T-1)*stride + k steps.
+
+    ``x`` and the output use the timestep-major layout of
+    :func:`conv1d_temporal`; ``steps``, when given, keeps only the first
+    ``steps`` output steps.
+    """
+    t_in, d_in, k, d_out = _temporal_shapes("deconv1d_temporal", x, kernel, stride, nodes)
+    t_full = (t_in - 1) * stride + k
+    t_out = t_full if steps is None else steps
+    if t_out > t_full:
+        raise DimensionError(f"deconv produces {t_full} steps, need {t_out}")
     xd = x.data.astype(np.float64)
     kd = kernel.data.astype(np.float64)
-    out = np.zeros((t_out, d_out), dtype=np.float64)
+    # output taps, and the input steps whose taps land inside the kept steps
+    taps = []
     for j in range(k):
-        out[j : j + (t_in - 1) * stride + 1 : stride] += xd @ kd[j]
+        n_in = min(t_in, max(0, -(-(t_out - j) // stride)))
+        if n_in:
+            taps.append((j, slice(j, j + (n_in - 1) * stride + 1, stride), n_in * nodes))
+    out = np.zeros((t_out, nodes, d_out), dtype=np.float64)
+    for j, rows, n in taps:
+        out[rows] += (xd[:n] @ kd[j]).reshape(-1, nodes, d_out)
 
     def grad_fn(gout):
-        g64 = gout.astype(np.float64)
-        gx = np.zeros((t_in, d_in), dtype=np.float64)
+        g64 = gout.astype(np.float64).reshape(t_out, nodes, d_out)
+        gx = np.zeros((t_in * nodes, d_in), dtype=np.float64)
         gk = np.zeros((k, d_in, d_out), dtype=np.float64)
-        for j in range(k):
-            rows = g64[j : j + (t_in - 1) * stride + 1 : stride]
-            gx += rows @ kd[j].T
-            gk[j] = xd.T @ rows
+        for j, rows, n in taps:
+            g = g64[rows].reshape(n, d_out)
+            gx[:n] += g @ kd[j].T
+            gk[j] = xd[:n].T @ g
         return [gx.astype(DTYPE), gk.astype(DTYPE)]
 
-    return record(out.astype(DTYPE), [x, kernel], grad_fn)
+    return record(out.reshape(t_out * nodes, d_out).astype(DTYPE), [x, kernel], grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +455,12 @@ def load_tensor(fh: BinaryIO) -> np.ndarray:
     (rank,) = struct.unpack("<I", raw)
     if rank > 3:
         raise DimensionError(f"serialized rank {rank} exceeds 3")
-    shape = []
-    for _ in range(rank):
-        (ext,) = struct.unpack("<I", fh.read(4))
-        shape.append(ext)
+    raw = fh.read(4 * rank)
+    if len(raw) != 4 * rank:
+        raise ValueError("truncated tensor extents")
+    shape = struct.unpack(f"<{rank}I", raw)
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4", count=count)
-    return data.reshape(shape).astype(DTYPE)
+    raw = fh.read(4 * count)
+    if len(raw) != 4 * count:
+        raise ValueError("truncated tensor data")
+    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(DTYPE)

@@ -295,9 +295,18 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> Tuple[StgcnModel, TrainConfig, int, Optional[dict]]:
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(n).decode("utf-8"))
-        if manifest.get("format") != "stgcn-checkpoint-1":
+        raw = fh.read(4)
+        if len(raw) != 4:
+            raise ValidationError(f"truncated checkpoint header: {path}")
+        (n,) = struct.unpack("<I", raw)
+        blob = fh.read(n)
+        if len(blob) != n:
+            raise ValidationError(f"truncated checkpoint header: {path}")
+        try:
+            manifest = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON
+            raise ValidationError(f"corrupt checkpoint header: {path}: {exc}") from exc
+        if not isinstance(manifest, dict) or manifest.get("format") != "stgcn-checkpoint-1":
             raise ValidationError(f"not a checkpoint file: {path}")
         model_cfg = ModelConfig.from_dict(manifest["model_config"])
         train_cfg = TrainConfig.from_dict(manifest["train_config"])
@@ -306,7 +315,10 @@ def load_checkpoint(path: str) -> Tuple[StgcnModel, TrainConfig, int, Optional[d
         if manifest["keys"] != expected:
             raise ValidationError("checkpoint keys do not match model configuration")
         for key in manifest["keys"]:
-            model.params[key] = load_tensor(fh)
+            try:
+                model.params[key] = load_tensor(fh)
+            except ValueError as exc:
+                raise ValidationError(f"checkpoint {path}, tensor {key!r}: {exc}") from exc
     return model, train_cfg, manifest["epoch"], manifest.get("rng_state")
 
 

@@ -52,15 +52,15 @@ def assert_grad_close(analytic, numeric, rel=1e-2, abs_tol=1e-3, context=""):
 def op_gradient_cases(rng):
     """One case per differentiable primitive: (name, op, input arrays)."""
 
-    def u(*shape):
-        return rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+    def u(*shape, gen=rng):
+        return gen.uniform(-1.0, 1.0, size=shape).astype(np.float32)
 
     def away(*shape):
         # keep values away from the ReLU kink so finite differences are valid
         x = u(*shape)
         return np.where(np.abs(x) < 0.1, np.float32(0.3), x).astype(np.float32)
 
-    return [
+    cases = [
         ("matmul", lambda a, b: tn.matmul(a, b), [u(4, 3), u(3, 5)]),
         ("add", lambda a, b: tn.add(a, b), [u(4, 3), u(4, 3)]),
         ("add-bias", lambda a, b: tn.add(a, b), [u(4, 3), u(3)]),
@@ -79,6 +79,20 @@ def op_gradient_cases(rng):
         ("conv-k3s2", lambda x, k: tn.conv1d_temporal(x, k, 2), [u(8, 2), u(3, 2, 3)]),
         ("deconv-k2s2", lambda x, k: tn.deconv1d_temporal(x, k, 2), [u(4, 2), u(2, 2, 3)]),
         ("deconv-k3s1", lambda x, k: tn.deconv1d_temporal(x, k, 1), [u(5, 2), u(3, 2, 3)]),
+    ]
+    # later cases draw from a child stream, so the cases above keep their data
+    # and a caller's later draws from ``rng`` are unaffected
+    (child,) = rng.spawn(1)
+    banded = u(4, 3, 2, 3, gen=child)
+    return cases + [
+        # T=4 timesteps of 3 nodes, band 1 (mapped onto 2 rows each), then the dense case
+        ("banded", lambda x: tn.banded_matmul(banded, x), [u(12, 2, gen=child)]),
+        ("banded-dense", lambda x: tn.banded_matmul(banded[0, 1], x), [u(3, 2, gen=child)]),
+        # 3 nodes per timestep, convolved per node; T=5 padded to 6, deconv cropped to 5
+        ("conv-nodes-pad", lambda x, k: tn.conv1d_temporal(x, k, 2, nodes=3, pad=1),
+         [u(15, 2, gen=child), u(2, 2, 3, gen=child)]),
+        ("deconv-nodes-crop", lambda x, k: tn.deconv1d_temporal(x, k, 2, nodes=3, steps=5),
+         [u(9, 2, gen=child), u(2, 2, 3, gen=child)]),
     ]
 
 

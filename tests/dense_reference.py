@@ -1,0 +1,103 @@
+"""Dense N_t x N_t reference forms of the block-layout graph matrices.
+
+The library stores adjacency, centering and pooling as (T, 2b+1, M, N) block
+arrays. The helpers here expand them to plain dense matrices and rebuild the
+adjacency the straightforward dense way (Python edge loops, row/column
+selection for subsampling), so tests can state expectations in dense form and
+compare the two layouts.
+"""
+
+import numpy as np
+
+from stacked_stgcn.graph import flat_index, validate_sequence
+
+
+def blocks_to_dense(blocks):
+    """(T, 2b+1, M, N) blocks -> the dense (T*M) x (T*N) matrix they stand for."""
+    blocks = np.asarray(blocks)
+    T, width, M, N = blocks.shape
+    half = width // 2
+    dense = np.zeros((T * M, T * N), dtype=blocks.dtype)
+    for t in range(T):
+        for k in range(width):
+            u = t + k - half
+            if 0 <= u < T:
+                dense[t * M : (t + 1) * M, u * N : (u + 1) * N] = blocks[t, k]
+    return dense
+
+
+def dense_to_blocks(dense, num_tracks, band):
+    """Dense (T*N) x (T*N) matrix -> (T, 2*band+1, N, N) blocks; no entry may lie off the band."""
+    N = num_tracks
+    T = dense.shape[0] // N
+    blocks = np.zeros((T, 2 * band + 1, N, N), dtype=dense.dtype)
+    for t in range(T):
+        for k in range(2 * band + 1):
+            u = t + k - band
+            if 0 <= u < T:
+                blocks[t, k] = dense[t * N : (t + 1) * N, u * N : (u + 1) * N]
+    assert np.array_equal(blocks_to_dense(blocks), dense), "entries outside the band"
+    return blocks
+
+
+def dense_build_adjacency(seq, span, cross_cluster_in_temporal=False):
+    """(A_s, A_t) as dense N_t x N_t matrices, assembled edge by edge."""
+    validate_sequence(seq)
+    T, N = seq.num_steps, seq.num_tracks
+    nt = N * T
+    a_s = np.zeros((nt, nt), dtype=np.float32)
+    a_t = np.zeros((nt, nt), dtype=np.float32)
+    for t, edges in enumerate(seq.spatial_edges):
+        for i, j, w in edges:
+            if i == j:
+                continue
+            u, v = flat_index(i, t, N), flat_index(j, t, N)
+            same_cluster = seq.tracks[i].cluster_id == seq.tracks[j].cluster_id
+            target = a_t if (cross_cluster_in_temporal and not same_cluster) else a_s
+            target[u, v] = max(target[u, v], np.float32(w))
+            target[v, u] = target[u, v]
+    for i, ti, j, tj, w in seq.temporal_edges:
+        if tj - ti > span:
+            continue
+        u, v = flat_index(i, ti, N), flat_index(j, tj, N)
+        a_t[u, v] = max(a_t[u, v], np.float32(w))
+        a_t[v, u] = a_t[u, v]
+    return a_s, a_t
+
+
+def dense_subsample(dense, num_tracks, stride):
+    """Rows and columns of every stride-th timestep of a dense node-time matrix."""
+    T = dense.shape[0] // num_tracks
+    keep_t = np.arange(0, T, stride)
+    rows = (keep_t[:, None] * num_tracks + np.arange(num_tracks)[None, :]).reshape(-1)
+    return dense[np.ix_(rows, rows)]
+
+
+def dense_normalize(a):
+    """D^-1/2 (I+A) D^-1/2 of a dense matrix."""
+    a_hat = a.astype(np.float64) + np.eye(a.shape[0])
+    d = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return d[:, None] * a_hat * d[None, :]
+
+
+def dense_centering(presence, num_tracks):
+    """N_t x N_t map subtracting the per-timestep mean over present nodes."""
+    nt = presence.shape[0]
+    mat = np.zeros((nt, nt))
+    for t in range(nt // num_tracks):
+        idx = np.flatnonzero(presence[t * num_tracks : (t + 1) * num_tracks]) + t * num_tracks
+        if idx.size:
+            mat[np.ix_(idx, idx)] = -1.0 / idx.size
+            mat[idx, idx] += 1.0
+    return mat
+
+
+def dense_pooling(presence, num_tracks):
+    """T x N_t mean over present nodes per timestep; zero rows when none."""
+    nt = presence.shape[0]
+    mat = np.zeros((nt // num_tracks, nt))
+    for t in range(nt // num_tracks):
+        idx = np.flatnonzero(presence[t * num_tracks : (t + 1) * num_tracks])
+        if idx.size:
+            mat[t, idx + t * num_tracks] = 1.0 / idx.size
+    return mat

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from stacked_stgcn import cli, evaluate
 from stacked_stgcn.cli import main
 from stacked_stgcn.graph import load_stgs
+from stacked_stgcn.model import ModelConfig, StgcnModel
+from stacked_stgcn.training import TrainConfig, save_checkpoint
 
 SYNTH_CONFIG = {
     "synth": {
@@ -253,6 +256,87 @@ def test_multi_label_pipeline(tmp_path):
     assert 0.0 <= metrics["mAP"] <= 1.0
     assert len(metrics["sequences"]) == 2
     assert len(metrics["sequences"][0]["eval_points"]) == 25
+
+
+def multi_label_data(tmp_path):
+    synth = {
+        "synth": dict(SYNTH_CONFIG["synth"], mode="multi"),
+        "train_count": 1,
+        "test_count": 2,
+    }
+    cfg = write_json(tmp_path / "synth.json", synth)
+    data = tmp_path / "data"
+    assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(data)]) == 0
+    model = StgcnModel(ModelConfig.from_dict(dict(MODEL_CONFIG, head_mode="multi")), seed=0)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(str(ckpt), model, TrainConfig(mode="multi"), epoch=0)
+    return data / "manifest.json", ckpt, model
+
+
+def test_multi_label_eval_infers_each_sequence_once(tmp_path, monkeypatch):
+    manifest, ckpt, model = multi_label_data(tmp_path)
+    data = cli._load_manifest(str(manifest), "test")
+    seqs = [seq for _, seq in data]
+    # the metrics document as built from independent sliding_infer passes
+    expected = evaluate.evaluate_multi(seqs, model, window=16, hop=4)
+    details = []
+    for path, seq in data:
+        timeline = evaluate.sliding_infer(seq, model, window=16, hop=4)
+        available = np.flatnonzero(seq.label_mask)
+        points = [int(available[i]) for i in evaluate.select_eval_points(len(available))]
+        details.append(
+            {
+                "path": path,
+                "eval_points": points,
+                "point_scores": timeline.scores[points].tolist(),
+                "full_scores": timeline.scores.tolist(),
+            }
+        )
+    expected["sequences"] = details
+
+    calls = []
+    original = evaluate.sliding_infer
+
+    def counting(seq, *args, **kwargs):
+        calls.append(seq)
+        return original(seq, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sliding_infer", counting)
+    monkeypatch.setattr(evaluate, "sliding_infer", counting)
+    out = tmp_path / "metrics.json"
+    assert main(
+        [
+            "eval", "--manifest", str(manifest), "--checkpoint", str(ckpt),
+            "--out", str(out), "--window", "16", "--hop", "4",
+        ]
+    ) == 0
+    assert len(calls) == len(seqs)
+    assert out.read_bytes() == json.dumps(expected).encode()
+
+
+def header_length(raw):
+    return int.from_bytes(raw[:4], "little")
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda raw: raw[: 4 + header_length(raw) // 2],  # inside the JSON header
+        lambda raw: raw[: 4 + header_length(raw) + 6],   # inside the first tensor's extents
+        lambda raw: raw[:-2],                            # inside the last tensor's data
+        None,                                            # no checkpoint at all
+    ],
+    ids=["header", "extent", "blob", "missing"],
+)
+def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, cut):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    if cut is not None:
+        bad.write_bytes(cut(ckpt.read_bytes()))
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
 
 
 # -- gradcheck ---------------------------------------------------------------

@@ -28,6 +28,8 @@ from stacked_stgcn.synth import (
 )
 from stacked_stgcn.evaluate import f1_score
 
+from dense_reference import blocks_to_dense, dense_build_adjacency
+
 
 def chain_sequence(T=3, span=3, num_tracks=1, feature_len=2, weight=1.0):
     """Tracks chained to themselves across timesteps with gaps 1..span."""
@@ -65,23 +67,29 @@ def chain_sequence(T=3, span=3, num_tracks=1, feature_len=2, weight=1.0):
 # -- adjacency assembly ------------------------------------------------------
 
 
+def dense_adjacency(seq, span, cross_cluster_in_temporal=False):
+    """build_adjacency's block output expanded to dense (A_s, A_t)."""
+    adj = build_adjacency(seq, span, cross_cluster_in_temporal=cross_cluster_in_temporal)
+    return blocks_to_dense(adj.a_s), blocks_to_dense(adj.a_t)
+
+
 def test_chain_adjacency_hand_enumeration():
     seq = chain_sequence(T=3, span=3)
-    adj = build_adjacency(seq, span=3)
+    a_s, a_t = dense_adjacency(seq, span=3)
     expected = np.zeros((3, 3), dtype=np.float32)
     for i, j in ((0, 1), (1, 2), (0, 2)):
         expected[i, j] = expected[j, i] = 1.0
-    assert np.array_equal(adj.a_t, expected)
-    assert np.array_equal(adj.a_s, np.zeros((3, 3)))
+    assert np.array_equal(a_t, expected)
+    assert np.array_equal(a_s, np.zeros((3, 3)))
 
 
 def test_span_filters_long_edges():
     seq = chain_sequence(T=4, span=3)
-    adj = build_adjacency(seq, span=1)
+    _, a_t = dense_adjacency(seq, span=1)
     expected = np.zeros((4, 4), dtype=np.float32)
     for t in range(3):
         expected[t, t + 1] = expected[t + 1, t] = 1.0
-    assert np.array_equal(adj.a_t, expected)
+    assert np.array_equal(a_t, expected)
 
 
 def test_empty_edges_give_zero_adjacency():
@@ -110,13 +118,13 @@ def test_spatial_edges_split_by_cluster():
         labels=np.zeros(T, dtype=np.int64),
         label_mask=np.ones(T, dtype=bool),
     )
-    adj = build_adjacency(seq, span=1, cross_cluster_in_temporal=False)
-    assert adj.a_s[0, 1] == np.float32(0.5) and adj.a_s[0, 2] == np.float32(0.7)
-    assert not adj.a_t.any()
-    folded = build_adjacency(seq, span=1, cross_cluster_in_temporal=True)
+    a_s, a_t = dense_adjacency(seq, span=1, cross_cluster_in_temporal=False)
+    assert a_s[0, 1] == np.float32(0.5) and a_s[0, 2] == np.float32(0.7)
+    assert not a_t.any()
+    folded_s, folded_t = dense_adjacency(seq, span=1, cross_cluster_in_temporal=True)
     # same-cluster edge stays spatial, cross-cluster edge moves to temporal
-    assert folded.a_s[0, 1] == np.float32(0.5) and folded.a_s[0, 2] == 0
-    assert folded.a_t[0, 2] == np.float32(0.7) and folded.a_t[2, 0] == np.float32(0.7)
+    assert folded_s[0, 1] == np.float32(0.5) and folded_s[0, 2] == 0
+    assert folded_t[0, 2] == np.float32(0.7) and folded_t[2, 0] == np.float32(0.7)
 
 
 def test_edge_touching_absent_node_rejected():
@@ -156,19 +164,19 @@ def test_empty_drop_schedule_is_identity():
 def test_drop_whole_track_zeroes_adjacency_rows():
     seq = chain_sequence(T=3, span=2, num_tracks=2)
     deformed = apply_deformation(seq, [(0, t) for t in range(3)])
-    adj = build_adjacency(deformed, span=3)
+    a_s, a_t = dense_adjacency(deformed, span=3)
     rows = [flat_index(0, t, 2) for t in range(3)]
-    assert not adj.a_s[rows].any() and not adj.a_s[:, rows].any()
-    assert not adj.a_t[rows].any() and not adj.a_t[:, rows].any()
+    assert not a_s[rows].any() and not a_s[:, rows].any()
+    assert not a_t[rows].any() and not a_t[:, rows].any()
 
 
 def test_drop_middle_step_keeps_bridging_edge():
     seq = chain_sequence(T=3, span=2)
     deformed = apply_deformation(seq, [(0, 1)])
-    adj = build_adjacency(deformed, span=2)
+    _, a_t = dense_adjacency(deformed, span=2)
     # edge across the dropped step survives, edges into it are gone
-    assert adj.a_t[0, 2] == 1.0
-    assert adj.a_t[0, 1] == 0.0 and adj.a_t[1, 2] == 0.0
+    assert a_t[0, 2] == 1.0
+    assert a_t[0, 1] == 0.0 and a_t[1, 2] == 0.0
     short = build_adjacency(deformed, span=1)
     assert not short.a_t.any()
 
@@ -178,15 +186,14 @@ def test_deformation_commutes_with_adjacency_zeroing():
     seq, _ = synth_generate(cfg, 5)
     rng = np.random.default_rng(9)
     schedule = sample_drop_schedule(seq, 0.25, rng)
-    before = build_adjacency(seq, span=3)
-    after = build_adjacency(apply_deformation(seq, schedule), span=3)
-    zeroed_s, zeroed_t = before.a_s.copy(), before.a_t.copy()
+    zeroed_s, zeroed_t = dense_adjacency(seq, span=3)
+    after_s, after_t = dense_adjacency(apply_deformation(seq, schedule), span=3)
     rows = [flat_index(n, t, seq.num_tracks) for n, t in schedule]
     for m in (zeroed_s, zeroed_t):
         m[rows, :] = 0
         m[:, rows] = 0
-    assert np.array_equal(after.a_s, zeroed_s)
-    assert np.array_equal(after.a_t, zeroed_t)
+    assert np.array_equal(after_s, zeroed_s)
+    assert np.array_equal(after_t, zeroed_t)
 
 
 def test_drop_schedule_counts():
@@ -264,15 +271,18 @@ def test_adjacency_invariants_property(seed, span, rate, cross):
     seq, _ = synth_generate(cfg, seed)
     rng = np.random.default_rng(seed + 1)
     seq = apply_deformation(seq, sample_drop_schedule(seq, rate, rng))
-    adj = build_adjacency(seq, span, cross_cluster_in_temporal=cross)
-    for m in (adj.a_s, adj.a_t):
+    a_s, a_t = dense_adjacency(seq, span, cross_cluster_in_temporal=cross)
+    for m in (a_s, a_t):
         assert np.array_equal(m, m.T)
         assert np.all(m >= 0)
     # absent nodes contribute all-zero rows
     for n, tr in enumerate(seq.tracks):
         for t in np.flatnonzero(~tr.presence):
             r = flat_index(n, t, seq.num_tracks)
-            assert not adj.a_s[r].any() and not adj.a_t[r].any()
+            assert not a_s[r].any() and not a_t[r].any()
+    # the vectorized block assembly equals the edge-by-edge dense one
+    expected_s, expected_t = dense_build_adjacency(seq, span, cross)
+    assert np.array_equal(a_s, expected_s) and np.array_equal(a_t, expected_t)
 
 
 # -- windowing ---------------------------------------------------------------

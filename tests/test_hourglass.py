@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from stacked_stgcn.graph import AdjacencyPair
+from dataclasses import replace
+
+from stacked_stgcn.graph import AdjacencyPair, apply_deformation
 from stacked_stgcn.hourglass import (
     DecoderLevelParams,
     EncoderLevelParams,
@@ -17,13 +19,33 @@ from stacked_stgcn.hourglass import (
 )
 from stacked_stgcn.layers import (
     StgcnLayerParams,
+    centering_matrix,
+    flat_presence,
     normalize_adjacency,
     pooling_matrix,
     stgcn_layer,
 )
 from stacked_stgcn.model import ModelConfig, StgcnModel
-from stacked_stgcn.synth import SynthConfig, synth_generate
+from stacked_stgcn.synth import SynthConfig, sample_drop_schedule, synth_generate
 from stacked_stgcn.tensor import Tensor
+
+from dense_reference import (
+    blocks_to_dense,
+    dense_build_adjacency,
+    dense_centering,
+    dense_normalize,
+    dense_pooling,
+    dense_subsample,
+    dense_to_blocks,
+)
+
+
+def dense_pair(a_s, a_t, band):
+    """Single-track adjacency pair from dense T x T matrices."""
+    return AdjacencyPair(
+        a_s=dense_to_blocks(a_s, 1, 0), a_t=dense_to_blocks(a_t, 1, band),
+        num_tracks=1, num_steps=a_s.shape[0],
+    )
 
 
 def chain_pair(T, span, weight=1.0):
@@ -33,9 +55,7 @@ def chain_pair(T, span, weight=1.0):
         for d in range(1, span + 1):
             if t + d < T:
                 a_t[t, t + d] = a_t[t + d, t] = weight
-    return AdjacencyPair(
-        a_s=np.zeros((T, T), dtype=np.float32), a_t=a_t, num_tracks=1, num_steps=T
-    )
+    return dense_pair(np.zeros((T, T), dtype=np.float32), a_t, span)
 
 
 def layer_params(rng, total_rows, d_in, d_out):
@@ -58,8 +78,8 @@ def test_subsample_connectivity_depends_on_span():
     short = subsample_adjacency(chain_pair(4, 1), 2)
     assert short.num_steps == 2
     assert not short.a_t.any()  # span-1 edges never reach across the gap
-    long = subsample_adjacency(chain_pair(4, 2), 2)
-    assert long.a_t[0, 1] == 1.0 and long.a_t[1, 0] == 1.0
+    long = blocks_to_dense(subsample_adjacency(chain_pair(4, 2), 2).a_t)
+    assert long[0, 1] == 1.0 and long[1, 0] == 1.0
 
 
 def test_subsample_dimensions():
@@ -74,14 +94,75 @@ def test_subsample_preserves_invariants(rng):
     m = rng.uniform(0, 1, (T, T)).astype(np.float32)
     m = np.maximum(m, m.T)
     np.fill_diagonal(m, 0)
-    adj = AdjacencyPair(a_s=m.copy(), a_t=m.copy(), num_tracks=1, num_steps=T)
+    adj = dense_pair(np.zeros_like(m), m, T - 1)
     sub = subsample_adjacency(adj, 2)
     assert sub.num_steps == 5
-    assert np.array_equal(sub.a_t, sub.a_t.T)
-    assert np.all(sub.a_t >= 0)
+    sub_t = blocks_to_dense(sub.a_t)
+    assert np.array_equal(sub_t, sub_t.T)
+    assert np.all(sub_t >= 0)
     # surviving entries equal the original entries at kept timesteps
     keep = np.arange(0, T, 2)
-    assert np.array_equal(sub.a_t, m[np.ix_(keep, keep)])
+    assert np.array_equal(sub_t, m[np.ix_(keep, keep)])
+
+
+def random_edges(seq, rng, span):
+    """Random-weight spatial edges; temporal edges between any tracks, gaps up to span + 2."""
+    N, T = seq.num_tracks, seq.num_steps
+    spatial = tuple(
+        tuple((int(i), int(j), float(rng.uniform(0.1, 1.0)))
+              for i, j in rng.integers(0, N, (3, 2)))
+        for _ in range(T)
+    )
+    temporal = []
+    for _ in range(4 * N * T):
+        i, j = (int(v) for v in rng.integers(0, N, 2))
+        ti = int(rng.integers(0, T - 1))
+        tj = min(T - 1, ti + int(rng.integers(1, span + 3)))
+        temporal.append((i, ti, j, tj, float(rng.uniform(0.1, 1.0))))
+    return replace(seq, spatial_edges=spatial, temporal_edges=tuple(temporal))
+
+
+@pytest.mark.parametrize("harmonization", ["projection", "per-cluster-gcn"])
+@pytest.mark.parametrize("span", [1, 3, 5, 30])
+@pytest.mark.parametrize("stride", [2, 3])
+def test_level_blocks_match_dense_construction(harmonization, span, stride):
+    # T=23 divides by neither stride at any level: 23, 12, 6, 3 and 23, 8, 3, 1
+    cfg = ModelConfig(
+        cluster_feature_lens=(3, 4), num_classes=2, d_model=4, levels=3, stride=stride,
+        span=span, harmonization=harmonization,
+        node_type_clusters=(("actor", 0), ("object", 1)),
+    )
+    synth_cfg = SynthConfig(
+        num_classes=2, cluster_feature_lens=(3, 4), tracks_per_cluster=2,
+        t_range=(23, 23), temporal_span=span,
+    )
+    for seed in range(3):
+        seq, _ = synth_generate(synth_cfg, seed)
+        rng = np.random.default_rng(seed)
+        if seed:
+            seq = random_edges(seq, rng, span)
+        seq = apply_deformation(seq, sample_drop_schedule(seq, 0.25, rng))
+        N = seq.num_tracks
+        levels = StgcnModel(cfg, seed=0).prepare_levels(seq)
+        a_s, a_t = dense_build_adjacency(
+            seq, span, cross_cluster_in_temporal=harmonization == "per-cluster-gcn"
+        )
+        assert len(levels) == cfg.levels + 1
+        for lv in levels:
+            assert lv.num_steps * N == a_s.shape[0]
+            # a band wider than the sequence is clamped to offsets that exist
+            assert lv.ns.shape[1] == 1
+            assert lv.nt.shape[1] <= 2 * min(span, lv.num_steps - 1) + 1
+            assert np.abs(blocks_to_dense(lv.ns) - dense_normalize(a_s)).max() <= 1e-6
+            assert np.abs(blocks_to_dense(lv.nt) - dense_normalize(a_t)).max() <= 1e-6
+            a_s, a_t = dense_subsample(a_s, N, stride), dense_subsample(a_t, N, stride)
+        presence = flat_presence(seq)
+        assert np.abs(
+            blocks_to_dense(centering_matrix(presence, N)) - dense_centering(presence, N)
+        ).max() <= 1e-6
+        assert np.abs(
+            blocks_to_dense(pooling_matrix(presence, N)) - dense_pooling(presence, N)
+        ).max() <= 1e-6
 
 
 # -- block wiring ------------------------------------------------------------
@@ -180,7 +261,7 @@ def test_head_identity_pooling(rng):
     T, d, C = 3, 4, 2
     presence = np.ones(T, dtype=bool)  # one node per timestep
     pool = pooling_matrix(presence, 1)
-    assert np.array_equal(pool, np.eye(T, dtype=np.float32))
+    assert np.array_equal(blocks_to_dense(pool), np.eye(T, dtype=np.float32))
     h = Tensor(rng.uniform(-1, 1, (T, d)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (d, C)).astype(np.float32))
     b = Tensor(rng.uniform(-1, 1, C).astype(np.float32))

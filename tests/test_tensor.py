@@ -12,6 +12,8 @@ from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ContractError, DimensionError, NumericalError
 from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor, load_tensor
 
+from dense_reference import blocks_to_dense
+
 RNG = np.random.default_rng(0)
 CASES = op_gradient_cases(RNG)
 
@@ -98,7 +100,61 @@ def test_deconv_hand_value():
     assert np.array_equal(out.data, [[1.0], [1.0], [2.0], [2.0]])
 
 
+def test_banded_matmul_equals_dense_product(rng):
+    blocks = rng.uniform(-1, 1, (5, 5, 2, 3)).astype(np.float32)  # T=5, band 2
+    x = rng.uniform(-1, 1, (15, 4)).astype(np.float32)
+    out = tn.banded_matmul(blocks, Tensor(x))
+    expected = blocks_to_dense(blocks).astype(np.float64) @ x.astype(np.float64)
+    assert out.shape == (10, 4)
+    assert np.allclose(out.data, expected, atol=1e-5)
+
+
+def test_banded_matmul_rejects_row_mismatch():
+    with pytest.raises(DimensionError):
+        tn.banded_matmul(np.zeros((3, 1, 2, 2)), Tensor(np.zeros((5, 1))))
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv_over_nodes_matches_per_node(rng, pad):
+    T, N, d = 7, 3, 2
+    x = rng.uniform(-1, 1, (T * N, d)).astype(np.float32)
+    k = rng.uniform(-1, 1, (2, d, 4)).astype(np.float32)
+    out = tn.conv1d_temporal(Tensor(x), Tensor(k), 2, nodes=N, pad=pad)
+    for n in range(N):
+        rows = np.vstack([x[n::N], np.zeros((pad, d), dtype=np.float32)])
+        single = tn.conv1d_temporal(Tensor(rows), Tensor(k), 2)
+        assert np.array_equal(out.data[n::N], single.data)
+
+
+@pytest.mark.parametrize("steps", [None, 5])
+def test_deconv_over_nodes_matches_per_node(rng, steps):
+    T, N, d = 3, 3, 2
+    x = rng.uniform(-1, 1, (T * N, d)).astype(np.float32)
+    k = rng.uniform(-1, 1, (2, d, 4)).astype(np.float32)
+    out = tn.deconv1d_temporal(Tensor(x), Tensor(k), 2, nodes=N, steps=steps)
+    for n in range(N):
+        single = tn.deconv1d_temporal(Tensor(x[n::N]), Tensor(k), 2).data[:steps]
+        assert np.array_equal(out.data[n::N], single)
+
+
+def test_deconv_crop_beyond_output_rejected():
+    with pytest.raises(DimensionError):
+        tn.deconv1d_temporal(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1, 1))), 2, steps=5)
+
+
 # -- tape contracts ----------------------------------------------------------
+
+
+def test_matmul_skips_gradient_of_untaped_input(rng):
+    a = rng.uniform(-1, 1, (4, 3)).astype(np.float32)
+    b = rng.uniform(-1, 1, (3, 2)).astype(np.float32)
+    gout = rng.uniform(-1, 1, (4, 2)).astype(np.float32)
+    tape = Tape()
+    tn.matmul(Tensor(a), tape.watch(b))
+    (_, input_ids, grad_fn), = tape._records
+    ga, gb = grad_fn(gout)
+    assert input_ids[0] is None and ga is None
+    assert np.array_equal(gb, (a.T.astype(np.float64) @ gout).astype(np.float32))
 
 
 def test_backward_outer_structure(rng):
