@@ -26,7 +26,7 @@ from .ingest import ingest_cad120_file
 from .gradcheck import check_model_gradients
 from .model import ModelConfig, StgcnModel
 from .synth import SynthConfig, generate_dataset, synth_generate
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train, write_curve
+from .training import TrainConfig, load_checkpoint, train
 
 
 def _load_json(path: str) -> dict:

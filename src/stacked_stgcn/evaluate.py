@@ -9,7 +9,7 @@ weights at each timestep sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,16 +80,7 @@ def f1_score(pred: Sequence[int], true: Sequence[int], num_classes: int) -> floa
     true = np.asarray(true, dtype=np.int64)
     if pred.shape != true.shape or pred.size == 0:
         raise ValidationError("predictions and ground truth must be equal, non-empty")
-    f1s = []
-    for c in range(num_classes):
-        tp = int(np.sum((pred == c) & (true == c)))
-        fp = int(np.sum((pred == c) & (true != c)))
-        fn = int(np.sum((pred != c) & (true == c)))
-        if tp + fn == 0:
-            continue  # class absent from ground truth
-        denom = 2 * tp + fp + fn
-        f1s.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s))
+    return float(np.mean([m["f1"] for m in _per_class_prf(pred, true, num_classes).values()]))
 
 
 def average_precision(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -213,15 +204,15 @@ def evaluate_multi(
 
 
 def _per_class_prf(pred: np.ndarray, true: np.ndarray, num_classes: int) -> dict:
+    """Precision, recall and F1 per class present in the ground truth."""
     out = {}
     for c in range(num_classes):
         tp = int(np.sum((pred == c) & (true == c)))
         fp = int(np.sum((pred == c) & (true != c)))
         fn = int(np.sum((pred != c) & (true == c)))
         if tp + fn == 0:
-            continue
+            continue  # class absent from ground truth
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn)
-        f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn > 0 else 0.0
-        out[str(c)] = {"precision": precision, "recall": recall, "f1": f1}
+        out[str(c)] = {"precision": precision, "recall": tp / (tp + fn),
+                       "f1": 2 * tp / (2 * tp + fp + fn)}
     return out

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -332,8 +332,12 @@ def load_stgs(directory: str) -> StgSequence:
     )
     tracks = []
     for entry in m["tracks"]:
-        with open(os.path.join(directory, entry["blob"]), "rb") as fh:
-            features = load_tensor(fh)
+        blob = os.path.join(directory, entry["blob"])
+        with open(blob, "rb") as fh:
+            try:
+                features = load_tensor(fh)
+            except ValueError as exc:  # truncated header, extents or data
+                raise ValidationError(f"track blob {blob}: {exc}") from exc
         tracks.append(
             NodeTrack(
                 track_id=entry["track_id"],

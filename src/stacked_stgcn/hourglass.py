@@ -12,8 +12,8 @@ after upsampling, so a block always returns the temporal extent it was fed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,15 +24,6 @@ from .graph import AdjacencyPair
 from .layers import StgcnLayerParams, normalize_adjacency, stgcn_layer
 from .layers import assemble_rows  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class HourglassConfig:
-    levels: int = 1
-    stride: int = 2
-    stack_depth: int = 1
-    skip: bool = True
-    decoder_stgcn: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,14 +132,8 @@ def hourglass_forward(
     params: HourglassBlockParams,
     stride: int,
     skip: bool = True,
-    first_layer=None,
 ) -> Tensor:
-    """One hourglass block; output temporal extent equals the input extent.
-
-    ``first_layer``, when given, replaces the first STGCN layer of the block
-    (used for the heterogeneous input layer); it is called with the level-0
-    adjacency in place of the stock layer.
-    """
+    """One hourglass block; output temporal extent equals the input extent."""
     depth = len(params.encoder)
     if len(levels) < depth + 1:
         raise DimensionError("not enough adjacency levels for this block")
@@ -158,20 +143,14 @@ def hourglass_forward(
     x = h
     for l in range(depth):
         lv = levels[l]
-        if l == 0 and first_layer is not None:
-            e = first_layer(x, lv.ns, lv.nt)
-        else:
-            e = stgcn_layer(x, lv.ns, lv.nt, params.encoder[l].stgcn)
+        e = stgcn_layer(x, lv.ns, lv.nt, params.encoder[l].stgcn)
         skips.append(e)
         x = temporal_conv_flat(
             e, params.encoder[l].conv_kernel, stride, num_tracks, lv.num_steps
         )
 
     lv = levels[depth]
-    if depth == 0 and first_layer is not None:
-        x = first_layer(x, lv.ns, lv.nt)
-    else:
-        x = stgcn_layer(x, lv.ns, lv.nt, params.bottleneck)
+    x = stgcn_layer(x, lv.ns, lv.nt, params.bottleneck)
 
     for l in reversed(range(depth)):
         x = temporal_deconv_flat(
@@ -195,15 +174,11 @@ def stack_forward(
     blocks: Sequence[HourglassBlockParams],
     stride: int,
     skip: bool = True,
-    first_layer=None,
 ) -> Tensor:
     """Sequential composition of hourglass blocks at shared adjacency levels."""
     x = h
-    for b, block in enumerate(blocks):
-        x = hourglass_forward(
-            x, levels, block, stride, skip=skip,
-            first_layer=first_layer if b == 0 else None,
-        )
+    for block in blocks:
+        x = hourglass_forward(x, levels, block, stride, skip=skip)
     return x
 
 

@@ -10,7 +10,7 @@ feature lengths are taken from the data and must be consistent per cluster.
 from __future__ import annotations
 
 import json
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 

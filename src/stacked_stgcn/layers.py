@@ -17,14 +17,14 @@ case T = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import blocks
 from . import tensor as tn
-from .errors import ConfigurationError, ContractError, DimensionError, ValidationError
+from .errors import ConfigurationError, ContractError, DimensionError
 from .graph import StgSequence
 from .tensor import DTYPE, Tensor
 
@@ -47,13 +47,15 @@ class StgcnLayerParams:
 
     ``w_s`` maps cluster id to that cluster's spatial weight matrix
     (d_cluster x d_model); ``cluster_rows`` maps cluster id to the flat
-    node-time rows it owns. ``w_t`` is the temporal weight matrix
+    node-time rows it owns, and is needed only with more than one cluster.
+    An empty ``w_s`` means the input rows are already projected (by
+    :func:`harmonize_projection`). ``w_t`` is the temporal weight matrix
     (d_model x d_out). ``bias`` is optional and off by default.
     """
 
     w_s: Dict[int, Tensor]
     w_t: Tensor
-    cluster_rows: Dict[int, np.ndarray]
+    cluster_rows: Dict[int, np.ndarray] = field(default_factory=dict)
     bias: Optional[Tensor] = None
 
 
@@ -103,6 +105,8 @@ def spatial_project(
 
 def _project_uniform(h: Tensor, params: StgcnLayerParams) -> Tensor:
     total = h.shape[0]
+    if not params.w_s:
+        return h
     if len(params.w_s) == 1:
         (w,) = params.w_s.values()
         return tn.matmul(h, w)
@@ -144,30 +148,31 @@ def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
     return tn.relu(out)
 
 
-def harmonize_projection(seq: StgSequence, kernels: Dict[str, Tensor]) -> Tensor:
-    """Map every node's features to a common width via per-type projections.
+def harmonize_projection(
+    seq: StgSequence, kernels: Dict, group_by: str = "node_type"
+) -> Tensor:
+    """Map every node's features to a common width via per-group projections.
 
-    Each node type owns one 1x1 convolution kernel (a plain matmul on the
-    feature vector). Absent nodes keep zero rows.
+    Tracks are grouped by their ``group_by`` attribute (``node_type`` or
+    ``cluster_id``) and each group owns one 1x1 convolution kernel (a plain
+    matmul on the feature vector). Absent nodes keep zero rows.
     """
     N, T = seq.num_tracks, seq.num_steps
-    by_type: Dict[str, List[int]] = {}
+    groups: Dict[object, List[int]] = {}
     for n, tr in enumerate(seq.tracks):
-        by_type.setdefault(tr.node_type, []).append(n)
-    pieces = []
-    for node_type, track_ids in by_type.items():
-        if node_type not in kernels:
-            raise ConfigurationError(f"no projection kernel for node type {node_type!r}")
-        kernel = kernels[node_type]
+        groups.setdefault(getattr(tr, group_by), []).append(n)
+    inputs = []
+    for key, track_ids in groups.items():
+        if key not in kernels:
+            raise ConfigurationError(f"no projection kernel for {group_by} {key!r}")
+        kernel = kernels[key]
         feats = np.concatenate([seq.tracks[n].features for n in track_ids], axis=0)
         if feats.shape[1] != kernel.shape[0]:
             raise ConfigurationError(
-                f"kernel for {node_type!r} expects width {kernel.shape[0]}, "
-                f"got {feats.shape[1]}"
+                f"kernel for {key!r} expects width {kernel.shape[0]}, got {feats.shape[1]}"
             )
-        idx = _track_rows(np.asarray(track_ids), N, T)
-        pieces.append((idx, tn.matmul(Tensor(feats), kernel)))
-    return assemble_rows(pieces, N * T)
+        inputs.append((_track_rows(np.asarray(track_ids), N, T), Tensor(feats), kernel))
+    return spatial_project(inputs, N * T)
 
 
 def _presence_counts(presence: np.ndarray, num_tracks: int):

@@ -4,18 +4,22 @@ Two harmonization schemes are supported. ``projection`` runs one 1x1
 convolution per node type to bring every feature vector to the model width
 before any graph operation. ``per-cluster-gcn`` gives each feature cluster
 its own spatial weight matrix in the first STGCN layer and folds
-cross-cluster spatial edges into the temporal adjacency.
+cross-cluster spatial edges into the temporal adjacency. Both run the same
+grouped projection, :func:`harmonize_projection`, keyed by node type or by
+cluster; in the per-cluster case its kernels are the first layer's
+``ws{c}``, and that layer, having no ``ws`` of its own, mixes the projected
+rows as they are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
-from . import tensor as tn
+from .config import DictCodec
 from .errors import ConfigurationError, ValidationError
 from .graph import StgSequence, build_adjacency
 from .hourglass import (
@@ -31,14 +35,14 @@ from .layers import (
     flat_presence,
     harmonize_projection,
     pooling_matrix,
-    spatial_project,
     subtract_mean,
 )
+from .layers import spatial_project  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .tensor import DTYPE, Tape, Tensor
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(DictCodec):
     cluster_feature_lens: Tuple[int, ...]
     num_classes: int
     head_mode: str = "single"  # "single" | "multi"
@@ -65,45 +69,6 @@ class ModelConfig:
             raise ConfigurationError("projection mode needs node_type_clusters")
         if self.levels < 0 or self.stride < 1 or self.stack_depth < 1:
             raise ConfigurationError("bad hourglass geometry")
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster_feature_lens": list(self.cluster_feature_lens),
-            "num_classes": self.num_classes,
-            "head_mode": self.head_mode,
-            "d_model": self.d_model,
-            "harmonization": self.harmonization,
-            "node_type_clusters": [list(p) for p in self.node_type_clusters],
-            "span": self.span,
-            "levels": self.levels,
-            "stride": self.stride,
-            "stack_depth": self.stack_depth,
-            "skip": self.skip,
-            "decoder_stgcn": self.decoder_stgcn,
-            "center_input": self.center_input,
-            "gcn_bias": self.gcn_bias,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            cluster_feature_lens=tuple(d["cluster_feature_lens"]),
-            num_classes=d["num_classes"],
-            head_mode=d.get("head_mode", "single"),
-            d_model=d.get("d_model", 512),
-            harmonization=d.get("harmonization", "per-cluster-gcn"),
-            node_type_clusters=tuple(
-                (str(t), int(c)) for t, c in d.get("node_type_clusters", [])
-            ),
-            span=d.get("span", 3),
-            levels=d.get("levels", 1),
-            stride=d.get("stride", 2),
-            stack_depth=d.get("stack_depth", 1),
-            skip=d.get("skip", True),
-            decoder_stgcn=d.get("decoder_stgcn", False),
-            center_input=d.get("center_input", True),
-            gcn_bias=d.get("gcn_bias", False),
-        )
 
 
 def _fan_in_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int):
@@ -157,23 +122,12 @@ class StgcnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _layer_params(
-        self, taped: Dict[str, Tensor], prefix: str, total_rows: int,
-        cluster_rows: Optional[Dict[int, np.ndarray]] = None,
-    ) -> StgcnLayerParams:
-        if f"{prefix}/ws" in taped:
-            w_s = {0: taped[f"{prefix}/ws"]}
-            rows = {0: np.arange(total_rows, dtype=np.intp)}
-        else:
-            w_s = {
-                c: taped[f"{prefix}/ws{c}"]
-                for c in range(len(self.cfg.cluster_feature_lens))
-            }
-            rows = cluster_rows
+    def _layer_params(self, taped: Dict[str, Tensor], prefix: str) -> StgcnLayerParams:
+        # no ``ws`` for the per-cluster first layer: its rows arrive projected
+        w_s = taped.get(f"{prefix}/ws")
         return StgcnLayerParams(
-            w_s=w_s,
+            w_s={} if w_s is None else {0: w_s},
             w_t=taped[f"{prefix}/wt"],
-            cluster_rows=rows,
             bias=taped.get(f"{prefix}/bias"),
         )
 
@@ -195,91 +149,46 @@ class StgcnModel:
             raise ValidationError(
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
-        N = seq.num_tracks
-        total = N * seq.num_steps
-        cross = cfg.harmonization == "per-cluster-gcn"
         if levels is None:
             levels = self.prepare_levels(seq)
         presence = flat_presence(seq)
 
         tape = Tape()
         taped = {path: tape.watch(arr) for path, arr in self.params.items()}
-        blocks = []
-        for b in range(cfg.stack_depth):
-            enc = [
-                EncoderLevelParams(
-                    stgcn=self._layer_params(taped, f"block{b}/enc{l}", total),
-                    conv_kernel=taped[f"block{b}/enc{l}/conv"],
-                )
-                for l in range(cfg.levels)
-                if not (cross and b == 0 and l == 0)
-            ]
-            if cross and b == 0 and cfg.levels >= 1:
-                # placeholder; level 0 of block 0 is handled by first_layer
-                enc.insert(
-                    0,
+        blocks = [
+            HourglassBlockParams(
+                encoder=[
                     EncoderLevelParams(
-                        stgcn=None,  # type: ignore[arg-type]
-                        conv_kernel=taped["block0/enc0/conv"],
-                    ),
-                )
-            blocks.append(
-                HourglassBlockParams(
-                    encoder=enc,
-                    bottleneck=self._layer_params(
-                        taped, f"block{b}/bottleneck", total
-                    ) if not (cross and b == 0 and cfg.levels == 0) else None,
-                    decoder=[
-                        DecoderLevelParams(
-                            deconv_kernel=taped[f"block{b}/dec{l}/deconv"],
-                            stgcn=self._layer_params(taped, f"block{b}/dec{l}", total)
-                            if cfg.decoder_stgcn
-                            else None,
-                        )
-                        for l in range(cfg.levels)
-                    ],
-                )
+                        stgcn=self._layer_params(taped, f"block{b}/enc{l}"),
+                        conv_kernel=taped[f"block{b}/enc{l}/conv"],
+                    )
+                    for l in range(cfg.levels)
+                ],
+                bottleneck=self._layer_params(taped, f"block{b}/bottleneck"),
+                decoder=[
+                    DecoderLevelParams(
+                        deconv_kernel=taped[f"block{b}/dec{l}/deconv"],
+                        stgcn=self._layer_params(taped, f"block{b}/dec{l}")
+                        if cfg.decoder_stgcn
+                        else None,
+                    )
+                    for l in range(cfg.levels)
+                ],
             )
+            for b in range(cfg.stack_depth)
+        ]
 
-        first_layer = None
         if cfg.harmonization == "projection":
             kernels = {t: taped[f"proj/{t}"] for t, _ in cfg.node_type_clusters}
             h = harmonize_projection(seq, kernels)
-            if cfg.center_input:
-                h = subtract_mean(h, presence, N)
         else:
-            from .layers import cluster_row_index
-
-            # cluster rows are track-major, matching the concatenated features
-            raw = {
-                c: (idx, Tensor(np.concatenate(
-                    [tr.features for tr in seq.tracks if tr.cluster_id == c], axis=0
-                )))
-                for c, idx in cluster_row_index(seq).items()
-            }
-            prefix = "block0/enc0" if cfg.levels >= 1 else "block0/bottleneck"
-            wt_first = taped[f"{prefix}/wt"]
-            bias_first = taped.get(f"{prefix}/bias")
-
-            def first_layer(_h, ns, nt):
-                proj = spatial_project(
-                    [(raw[c][0], raw[c][1], taped[f"{prefix}/ws{c}"]) for c in sorted(raw)],
-                    total,
-                )
-                if cfg.center_input:
-                    proj = subtract_mean(proj, presence, N)
-                h_s = tn.banded_matmul(ns, proj)
-                out = tn.banded_matmul(nt, tn.matmul(h_s, wt_first))
-                if bias_first is not None:
-                    out = tn.add(out, bias_first)
-                return tn.relu(out)
-
-            h = Tensor(np.zeros((total, 1), dtype=DTYPE))  # ignored by first_layer
-
-        h = stack_forward(
-            h, levels, blocks, cfg.stride, skip=cfg.skip, first_layer=first_layer
-        )
-        pool = pooling_matrix(presence, N)
+            first = "block0/enc0" if cfg.levels >= 1 else "block0/bottleneck"
+            kernels = {c: taped[f"{first}/ws{c}"] for c in range(len(lens))}
+            h = harmonize_projection(seq, kernels, group_by="cluster_id")
+        if cfg.center_input:
+            h = subtract_mean(h, presence, seq.num_tracks)
+        h = stack_forward(h, levels, blocks, cfg.stride, skip=cfg.skip)
+        pool = pooling_matrix(presence, seq.num_tracks)
         scores = head_forward(h, pool, taped["head/w"], taped["head/b"])
         return tape, taped, scores
 

@@ -10,11 +10,12 @@ oracle in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import DictCodec
 from .errors import ValidationError
 from .graph import FeatureCluster, NodeTrack, StgSequence
 from .tensor import DTYPE
@@ -23,7 +24,7 @@ _CLUSTER_TYPES = ("actor", "object", "scene", "action", "other")
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(DictCodec):
     num_classes: int = 5
     cluster_feature_lens: Tuple[int, ...] = (8, 12)
     tracks_per_cluster: int = 1
@@ -39,37 +40,6 @@ class SynthConfig:
     @property
     def num_tracks(self) -> int:
         return len(self.cluster_feature_lens) * self.tracks_per_cluster
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "cluster_feature_lens": list(self.cluster_feature_lens),
-            "tracks_per_cluster": self.tracks_per_cluster,
-            "t_range": list(self.t_range),
-            "segment_len_range": list(self.segment_len_range),
-            "noise": self.noise,
-            "mean_scale": self.mean_scale,
-            "spatial_eps": self.spatial_eps,
-            "temporal_span": self.temporal_span,
-            "temporal_weight": self.temporal_weight,
-            "mode": self.mode,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthConfig":
-        return SynthConfig(
-            num_classes=d.get("num_classes", 5),
-            cluster_feature_lens=tuple(d.get("cluster_feature_lens", (8, 12))),
-            tracks_per_cluster=d.get("tracks_per_cluster", 1),
-            t_range=tuple(d.get("t_range", (30, 80))),
-            segment_len_range=tuple(d.get("segment_len_range", (6, 15))),
-            noise=d.get("noise", 0.3),
-            mean_scale=d.get("mean_scale", 1.0),
-            spatial_eps=d.get("spatial_eps", 0.1),
-            temporal_span=d.get("temporal_span", 3),
-            temporal_weight=d.get("temporal_weight", 1.0),
-            mode=d.get("mode", "single"),
-        )
 
 
 def _validate_config(cfg: SynthConfig) -> None:

@@ -11,20 +11,20 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tensor as tn
-from .errors import ContractError, NumericalError, ValidationError
+from .config import DictCodec
+from .errors import NumericalError, ValidationError
 from .graph import StgSequence, pad_sequence, slice_sequence
 from .model import ModelConfig, StgcnModel
 from .tensor import DTYPE, Tensor, backward, dump_tensor, load_tensor, record
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(DictCodec):
     mode: str = "single"  # "single" | "multi"
     lr0: float = 0.0004
     sched_step: int = 1
@@ -41,31 +41,6 @@ class TrainConfig:
             raise ValidationError("sched_drop must be in (0, 1]")
         if self.sched_step < 1 or self.max_window < 1 or self.epochs < 1:
             raise ValidationError("bad training configuration")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lr0": self.lr0,
-            "sched_step": self.sched_step,
-            "sched_drop": self.sched_drop,
-            "max_window": self.max_window,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "momentum": self.momentum,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(
-            mode=d.get("mode", "single"),
-            lr0=d["lr0"],
-            sched_step=d.get("sched_step", 1),
-            sched_drop=d.get("sched_drop", 0.9),
-            max_window=d.get("max_window", 50),
-            epochs=d.get("epochs", 30),
-            seed=d.get("seed", 0),
-            momentum=d.get("momentum", 0.0),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,34 @@ def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, cut):
     assert not out.exists()
 
 
+def test_eval_rejects_truncated_track_blob(tmp_path):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    entries = json.loads(manifest.read_text())["sequences"]
+    blob = manifest.parent / next(e["path"] for e in entries if e["split"] == "test")
+    blob = blob / "track_0.bin"
+    blob.write_bytes(blob.read_bytes()[:-3])
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_train_rejects_model_config_without_cluster_lens(dataset, tmp_path):
+    doc = {k: v for k, v in MODEL_CONFIG.items() if k != "cluster_feature_lens"}
+    model_cfg = write_json(tmp_path / "model.json", doc)
+    train_cfg = write_json(tmp_path / "train.json", TRAIN_CONFIG)
+    run = tmp_path / "run"
+    rc = main(
+        [
+            "train", "--manifest", str(dataset / "manifest.json"),
+            "--model-config", model_cfg, "--train-config", train_cfg,
+            "--seed", "0", "--out", str(run),
+        ]
+    )
+    assert rc == 2
+    assert not run.exists()
+
+
 # -- gradcheck ---------------------------------------------------------------
 
 

@@ -1,9 +1,13 @@
-"""The checked-in dataset presets must parse into valid configurations."""
+"""The checked-in dataset presets parse into valid configurations; the config codec."""
 
 import json
 from pathlib import Path
 
+import pytest
+
+from stacked_stgcn.errors import ConfigurationError
 from stacked_stgcn.model import ModelConfig
+from stacked_stgcn.synth import SynthConfig
 from stacked_stgcn.training import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -44,3 +48,26 @@ def test_presets_round_trip():
         assert ModelConfig.from_dict(model.to_dict()) == model
         train = TrainConfig.from_dict(load(f"{name}.train.json"))
         assert TrainConfig.from_dict(train.to_dict()) == train
+
+
+def test_codec_defaults_unknown_keys_and_tuples():
+    synth = SynthConfig.from_dict({"t_range": [4, 9], "train_count": 3})
+    assert synth == SynthConfig(t_range=(4, 9))
+    assert synth.to_dict()["t_range"] == [4, 9]
+    model = ModelConfig.from_dict(
+        {"cluster_feature_lens": [3], "num_classes": 2, "harmonization": "projection",
+         "node_type_clusters": [["actor", 0]]}
+    )
+    assert model.node_type_clusters == (("actor", 0),)
+    assert model.to_dict()["node_type_clusters"] == [["actor", 0]]
+
+
+def test_codec_train_config_without_lr0_takes_default():
+    assert TrainConfig.from_dict({"epochs": 2}) == TrainConfig(epochs=2)
+
+
+def test_codec_missing_required_key():
+    with pytest.raises(ConfigurationError, match="cluster_feature_lens"):
+        ModelConfig.from_dict({"num_classes": 3})
+    with pytest.raises(ConfigurationError):
+        ModelConfig.from_dict([3, 4])

@@ -266,6 +266,31 @@ def test_projection_missing_kernel():
         harmonize_projection(seq, {"actor": Tensor(np.eye(3, dtype=np.float32))})
 
 
+def test_projection_grouped_by_cluster():
+    # two node types in one cluster share that cluster's kernel
+    seq = make_sequence([("actor", 0, 3), ("object", 0, 3), ("scene", 1, 2)])
+    rng = np.random.default_rng(2)
+    w0, w1 = (rng.uniform(-1, 1, shape).astype(np.float32) for shape in ((3, 4), (2, 4)))
+    by_type = harmonize_projection(
+        seq, {"actor": Tensor(w0), "object": Tensor(w0), "scene": Tensor(w1)}
+    )
+    by_cluster = harmonize_projection(seq, {0: Tensor(w0), 1: Tensor(w1)}, group_by="cluster_id")
+    np.testing.assert_allclose(by_cluster.data, by_type.data, rtol=0, atol=1e-6)
+    with pytest.raises(ConfigurationError):
+        harmonize_projection(seq, {0: Tensor(w0)}, group_by="cluster_id")
+
+
+def test_layer_without_spatial_weights_takes_projected_rows(rng):
+    total, d = 6, 4
+    h = rng.uniform(-1, 1, (total, d)).astype(np.float32)
+    ns = normalize_adjacency(random_symmetric(rng, total))
+    nt = normalize_adjacency(random_symmetric(rng, total))
+    w_t = Tensor(rng.uniform(-1, 1, (d, d)).astype(np.float32))
+    bare = stgcn_layer(Tensor(h), ns, nt, StgcnLayerParams(w_s={}, w_t=w_t))
+    identity = StgcnLayerParams(w_s={0: Tensor(np.eye(d, dtype=np.float32))}, w_t=w_t)
+    assert np.array_equal(bare.data, stgcn_layer(Tensor(h), ns, nt, identity).data)
+
+
 def test_cluster_row_index_layout():
     seq = make_sequence([("actor", 0, 2), ("object", 1, 3)], T=3)
     rows = cluster_row_index(seq)

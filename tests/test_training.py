@@ -1,6 +1,7 @@
 """Losses, schedule, optimizer, windowing, training loop, checkpoints."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ def test_sgd_update_rule(rng):
     params = {"w": w.copy()}
     sgd_step(params, {"w": g}, lr=0.05)
     assert np.array_equal(params["w"], (w - np.float32(0.05) * g).astype(np.float32))
+
+
+def test_sgd_momentum_is_heavy_ball(rng):
+    w, g1, g2 = (rng.uniform(-1, 1, (2, 3)).astype(np.float32) for _ in range(3))
+    params, velocity = {"w": w.copy()}, {}
+    sgd_step(params, {"w": g1}, lr=0.1, momentum=0.9, velocity=velocity)
+    sgd_step(params, {"w": g2}, lr=0.1, momentum=0.9, velocity=velocity)
+    # v1 = g1, v2 = 0.9 v1 + g2, w2 = w - 0.1 v1 - 0.1 v2
+    v2 = 0.9 * g1.astype(np.float64) + g2
+    expected = w - 0.1 * g1.astype(np.float64) - 0.1 * v2
+    np.testing.assert_allclose(velocity["w"], v2, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(params["w"], expected, rtol=0, atol=1e-6)
 
 
 def test_sgd_rejects_nonpositive_lr():
@@ -284,3 +297,33 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     bad.write_bytes((2).to_bytes(4, "little") + b"{}")
     with pytest.raises(ValidationError):
         load_checkpoint(str(bad))
+
+
+FIXTURES = Path(__file__).resolve().parent / "data"
+
+
+def test_checkpoint_from_separate_first_layer_path_still_loads(tmp_path):
+    """A checkpoint written while the per-cluster first layer had its own code path.
+
+    It was written with ``save_checkpoint(path, StgcnModel(cfg, seed=7),
+    TrainConfig(lr0=0.01, seed=0), epoch=3, rng=np.random.default_rng(11))``
+    for a two-cluster ``per-cluster-gcn`` model (d_model=4, levels=2), and
+    the scores next to it are that model's forward on a fixed synthetic
+    sequence. The train seed differs from the model seed, so the scores only
+    match when the blobs are read.
+    """
+    path = FIXTURES / "per_cluster_gcn.ckpt"
+    model, train_cfg, epoch, rng_state = load_checkpoint(str(path))
+    assert model.cfg.harmonization == "per-cluster-gcn" and epoch == 3
+    seq, _ = synth_generate(
+        SynthConfig(num_classes=3, cluster_feature_lens=(3, 5), tracks_per_cluster=2,
+                    t_range=(10, 10)),
+        1,
+    )
+    expected = np.load(FIXTURES / "per_cluster_gcn_scores.npy")
+    assert model.forward_scores(seq).tobytes() == expected.tobytes()
+    rng = np.random.default_rng()
+    rng.bit_generator.state = rng_state
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(str(again), model, train_cfg, epoch, rng)
+    assert again.read_bytes() == path.read_bytes()
