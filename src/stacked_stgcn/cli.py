@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from .errors import (
@@ -26,7 +27,7 @@ from .ingest import ingest_cad120_file
 from .gradcheck import check_model_gradients
 from .model import ModelConfig, StgcnModel
 from .synth import SynthConfig, generate_dataset, synth_generate
-from .training import TrainConfig, load_checkpoint, train
+from .training import TrainConfig, atomic_write, load_checkpoint, train
 
 
 def _load_json(path: str) -> dict:
@@ -90,9 +91,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     model_cfg = ModelConfig.from_dict(_load_json(args.model_config))
-    tc = _load_json(args.train_config)
-    tc["seed"] = args.seed
-    train_cfg = TrainConfig.from_dict(tc)
+    train_cfg = replace(TrainConfig.from_dict(_load_json(args.train_config)), seed=args.seed)
     data = [seq for _, seq in _load_manifest(args.manifest, "train")]
     os.makedirs(args.out, exist_ok=True)
     model, curve = train(data, model_cfg, train_cfg, out_dir=args.out)
@@ -113,7 +112,7 @@ def cmd_infer(args) -> int:
                 "coverage": timeline.coverage.tolist(),
             }
         )
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         json.dump({"sequences": result}, fh)
     print(f"wrote fused score timelines for {len(result)} sequences to {args.out}")
     return 0
@@ -134,7 +133,7 @@ def cmd_eval(args) -> int:
         metrics["sequences"] = [
             {"path": path, **details} for (path, _), details in zip(data, metrics["sequences"])
         ]
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         json.dump(metrics, fh)
     key = "macro_f1" if mode == "single" else "mAP"
     print(f"{key}: {metrics[key]:.4f} -> {args.out}")

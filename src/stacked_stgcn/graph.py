@@ -321,11 +321,33 @@ def save_stgs(seq: StgSequence, directory: str) -> None:
             dump_tensor(fh, tr.features)
 
 
+_MANIFEST_KEYS = (
+    "T", "C", "mode", "clusters", "tracks", "spatial_edges", "temporal_edges",
+    "labels", "label_mask",
+)
+_CLUSTER_KEYS = ("cluster_id", "feature_len")
+_TRACK_KEYS = ("track_id", "node_type", "cluster_id", "presence", "blob")
+
+
+def _require_keys(entries, keys, where: str) -> None:
+    """Raise ValidationError naming the first of ``keys`` some entry lacks."""
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+        for key in keys:
+            if key not in entry:
+                raise ValidationError(f"{where}: missing key {key!r}")
+
+
 def load_stgs(directory: str) -> StgSequence:
     with open(os.path.join(directory, "manifest.json")) as fh:
         m = json.load(fh)
-    if m.get("format") != "stgs-1":
+    if not isinstance(m, dict) or m.get("format") != "stgs-1":
         raise ValidationError(f"not an STGS manifest: {directory}")
+    where = f"STGS manifest {directory}"
+    _require_keys([m], _MANIFEST_KEYS, where)
+    _require_keys(m["clusters"], _CLUSTER_KEYS, f"{where}, cluster")
+    _require_keys(m["tracks"], _TRACK_KEYS, f"{where}, track")
     T, C, mode = m["T"], m["C"], m["mode"]
     clusters = tuple(
         FeatureCluster(c["cluster_id"], c["feature_len"]) for c in m["clusters"]

@@ -5,8 +5,11 @@ works on plain values; when any input lives on a :class:`Tape`, the output is
 recorded there together with a backward rule, and :func:`backward` replays the
 rules in reverse to produce parameter gradients.
 
-Dot products accumulate in float64 and are cast back to float32 to keep
-drift bounded without leaving the 32-bit storage format.
+Products (``matmul``, ``banded_matmul`` and the temporal conv/deconv) run
+in float32, the storage precision, forward and backward. Float64 is kept
+only where it bounds drift: the whole-tensor reductions (``sum_all``,
+``mean_axis`` and ``add``'s bias gradient) and, in :mod:`stacked_stgcn.training`,
+the losses.
 """
 
 from __future__ import annotations
@@ -167,11 +170,6 @@ def backward(tape: Tape, loss: Tensor) -> dict:
 # primitive operations
 
 
-def _mm64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with float64 accumulation, cast back to float32."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(DTYPE)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul expects rank-2 tensors")
@@ -181,12 +179,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_taped, b_taped = a.tape is not None, b.tape is not None
 
     def grad_fn(gout):
-        return [
-            _mm64(gout, bd.T) if a_taped else None,
-            _mm64(ad.T, gout) if b_taped else None,
-        ]
+        return [gout @ bd.T if a_taped else None, ad.T @ gout if b_taped else None]
 
-    return record(_mm64(ad, bd), [a, b], grad_fn)
+    return record(ad @ bd, [a, b], grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -330,20 +325,19 @@ def banded_matmul(blocks: np.ndarray, x: Tensor) -> Tensor:
     if x.shape[0] != T * N:
         raise DimensionError(f"row count {x.shape[0]} does not match adjacency {T * N}")
     d = x.shape[1]
-    a64 = a.astype(np.float64)
-    xd = x.data.astype(np.float64).reshape(T, N, d)
-    out = np.zeros((T, M, d), dtype=np.float64)
+    xd = x.data.reshape(T, N, d)
+    out = np.zeros((T, M, d), dtype=DTYPE)
     for k, delta, lo, hi in band_slices(T, width):
-        out[lo:hi] += a64[lo:hi, k] @ xd[lo + delta : hi + delta]
+        out[lo:hi] += a[lo:hi, k] @ xd[lo + delta : hi + delta]
 
     def grad_fn(gout):
-        g64 = gout.astype(np.float64).reshape(T, M, d)
-        gx = np.zeros((T, N, d), dtype=np.float64)
+        g = gout.reshape(T, M, d)
+        gx = np.zeros((T, N, d), dtype=DTYPE)
         for k, delta, lo, hi in band_slices(T, width):
-            gx[lo + delta : hi + delta] += a64[lo:hi, k].transpose(0, 2, 1) @ g64[lo:hi]
-        return [gx.reshape(T * N, d).astype(DTYPE)]
+            gx[lo + delta : hi + delta] += a[lo:hi, k].transpose(0, 2, 1) @ g[lo:hi]
+        return [gx.reshape(T * N, d)]
 
-    return record(out.reshape(T * M, d).astype(DTYPE), [x], grad_fn)
+    return record(out.reshape(T * M, d), [x], grad_fn)
 
 
 def _temporal_shapes(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: int):
@@ -377,24 +371,23 @@ def conv1d_temporal(
     if t_len < k:
         raise DimensionError(f"temporal extent {t_len} shorter than kernel {k}")
     n_out = (t_len - k) // stride + 1
-    xd = np.zeros((t_len, nodes, d_in), dtype=np.float64)
+    xd = np.zeros((t_len, nodes, d_in), dtype=DTYPE)
     xd[:t_in] = x.data.reshape(t_in, nodes, d_in)
-    kd = kernel.data.astype(np.float64)
-    out = np.zeros((n_out * nodes, d_out), dtype=np.float64)
+    kd = kernel.data
+    out = np.zeros((n_out * nodes, d_out), dtype=DTYPE)
     taps = [slice(j, j + (n_out - 1) * stride + 1, stride) for j in range(k)]
     for j, rows in enumerate(taps):
         out += xd[rows].reshape(-1, d_in) @ kd[j]
 
     def grad_fn(gout):
-        g64 = gout.astype(np.float64)
-        gx = np.zeros((t_len, nodes, d_in), dtype=np.float64)
-        gk = np.zeros((k, d_in, d_out), dtype=np.float64)
+        gx = np.zeros((t_len, nodes, d_in), dtype=DTYPE)
+        gk = np.zeros((k, d_in, d_out), dtype=DTYPE)
         for j, rows in enumerate(taps):
-            gx[rows] += (g64 @ kd[j].T).reshape(n_out, nodes, d_in)
-            gk[j] = xd[rows].reshape(-1, d_in).T @ g64
-        return [gx[:t_in].reshape(-1, d_in).astype(DTYPE), gk.astype(DTYPE)]
+            gx[rows] += (gout @ kd[j].T).reshape(n_out, nodes, d_in)
+            gk[j] = xd[rows].reshape(-1, d_in).T @ gout
+        return [gx[:t_in].reshape(-1, d_in), gk]
 
-    return record(out.astype(DTYPE), [x, kernel], grad_fn)
+    return record(out, [x, kernel], grad_fn)
 
 
 def deconv1d_temporal(
@@ -411,29 +404,28 @@ def deconv1d_temporal(
     t_out = t_full if steps is None else steps
     if t_out > t_full:
         raise DimensionError(f"deconv produces {t_full} steps, need {t_out}")
-    xd = x.data.astype(np.float64)
-    kd = kernel.data.astype(np.float64)
+    xd, kd = x.data, kernel.data
     # output taps, and the input steps whose taps land inside the kept steps
     taps = []
     for j in range(k):
         n_in = min(t_in, max(0, -(-(t_out - j) // stride)))
         if n_in:
             taps.append((j, slice(j, j + (n_in - 1) * stride + 1, stride), n_in * nodes))
-    out = np.zeros((t_out, nodes, d_out), dtype=np.float64)
+    out = np.zeros((t_out, nodes, d_out), dtype=DTYPE)
     for j, rows, n in taps:
         out[rows] += (xd[:n] @ kd[j]).reshape(-1, nodes, d_out)
 
     def grad_fn(gout):
-        g64 = gout.astype(np.float64).reshape(t_out, nodes, d_out)
-        gx = np.zeros((t_in * nodes, d_in), dtype=np.float64)
-        gk = np.zeros((k, d_in, d_out), dtype=np.float64)
+        g_steps = gout.reshape(t_out, nodes, d_out)
+        gx = np.zeros((t_in * nodes, d_in), dtype=DTYPE)
+        gk = np.zeros((k, d_in, d_out), dtype=DTYPE)
         for j, rows, n in taps:
-            g = g64[rows].reshape(n, d_out)
+            g = g_steps[rows].reshape(n, d_out)
             gx[:n] += g @ kd[j].T
             gk[j] = xd[:n].T @ g
-        return [gx.astype(DTYPE), gk.astype(DTYPE)]
+        return [gx, gk]
 
-    return record(out.reshape(t_out * nodes, d_out).astype(DTYPE), [x, kernel], grad_fn)
+    return record(out.reshape(t_out * nodes, d_out), [x, kernel], grad_fn)
 
 
 # ---------------------------------------------------------------------------

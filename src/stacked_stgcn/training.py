@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,6 +240,23 @@ def write_curve(path: str, curve: Sequence[CurvePoint]) -> None:
             fh.write(f"{p.epoch},{p.split},{p.loss!r},{p.metric!r}\n")
 
 
+@contextmanager
+def atomic_write(path: str, mode: str = "w") -> Iterator:
+    """Write through a temp file beside ``path`` that replaces it on success.
+
+    If the block raises, ``path`` keeps its old content (or stays absent)
+    and the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format: length-prefixed JSON manifest + concatenated tensor blobs
 
@@ -261,7 +279,7 @@ def save_checkpoint(
         "rng_state": _rng_state_to_json(rng) if rng is not None else None,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for key in keys:

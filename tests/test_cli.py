@@ -351,6 +351,48 @@ def test_eval_rejects_truncated_track_blob(tmp_path):
     assert not out.exists()
 
 
+def drop_manifest_key(manifest):
+    del manifest["T"]
+
+
+def drop_track_key(manifest):
+    del manifest["tracks"][1]["blob"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, key", [(drop_manifest_key, "'T'"), (drop_track_key, "'blob'")], ids=["T", "blob"]
+)
+def test_eval_rejects_stgs_manifest_missing_key(tmp_path, capsys, corrupt, key):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    entries = json.loads(manifest.read_text())["sequences"]
+    seq_dir = manifest.parent / next(e["path"] for e in entries if e["split"] == "test")
+    doc = json.loads((seq_dir / "manifest.json").read_text())
+    corrupt(doc)
+    write_json(seq_dir / "manifest.json", doc)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"missing key {key}" in err and seq_dir.name in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_train_rejects_train_config_array(dataset, tmp_path):
+    model_cfg = write_json(tmp_path / "model.json", MODEL_CONFIG)
+    train_cfg = write_json(tmp_path / "train.json", [1, 2])
+    run = tmp_path / "run"
+    rc = main(
+        [
+            "train", "--manifest", str(dataset / "manifest.json"),
+            "--model-config", model_cfg, "--train-config", train_cfg,
+            "--seed", "0", "--out", str(run),
+        ]
+    )
+    assert rc == 2
+    assert not run.exists()
+
+
 def test_train_rejects_model_config_without_cluster_lens(dataset, tmp_path):
     doc = {k: v for k, v in MODEL_CONFIG.items() if k != "cluster_feature_lens"}
     model_cfg = write_json(tmp_path / "model.json", doc)

@@ -11,6 +11,7 @@ from conftest import assert_grad_close, check_op_gradients, finite_diff, op_grad
 from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ContractError, DimensionError, NumericalError
 from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor, load_tensor
+from stacked_stgcn.training import masked_ce_loss
 
 from dense_reference import blocks_to_dense
 
@@ -154,7 +155,7 @@ def test_matmul_skips_gradient_of_untaped_input(rng):
     (_, input_ids, grad_fn), = tape._records
     ga, gb = grad_fn(gout)
     assert input_ids[0] is None and ga is None
-    assert np.array_equal(gb, (a.T.astype(np.float64) @ gout).astype(np.float32))
+    assert np.array_equal(gb, a.T @ gout)
 
 
 def test_backward_outer_structure(rng):
@@ -243,6 +244,100 @@ def test_deconv_gradient_relative_tolerance(rng):
     for i, t in enumerate((xt, kt)):
         numeric = finite_diff(scalar, [x, k], i)
         assert np.allclose(grads[t.tid], numeric, rtol=1e-3, atol=1e-4)
+
+
+# -- precision policy: float32 products, float64 in the loss -----------------
+
+
+def _conv64(x, k, stride, nodes, pad):
+    steps = x.reshape(-1, nodes, x.shape[1])
+    steps = np.concatenate([steps, np.zeros((pad,) + steps.shape[1:])])
+    n_out = (len(steps) - len(k)) // stride + 1
+    return np.concatenate(
+        [sum(steps[t * stride + j] @ k[j] for j in range(len(k))) for t in range(n_out)]
+    )
+
+
+def _deconv64(x, k, stride, nodes, steps):
+    xs = x.reshape(-1, nodes, x.shape[1])
+    out = np.zeros(((len(xs) - 1) * stride + len(k), nodes, k.shape[2]))
+    for t in range(len(xs)):
+        for j in range(len(k)):
+            out[t * stride + j] += xs[t] @ k[j]
+    return out[:steps].reshape(-1, k.shape[2])
+
+
+def _vjp64(f, arrays, i, gout):
+    """gout . J_i for ``f`` linear in ``arrays[i]``, from float64 values of ``f`` on unit inputs."""
+    args = [a.astype(np.float64) for a in arrays]
+    grad = np.zeros(arrays[i].size)
+    for e in range(grad.size):
+        unit = np.zeros(grad.size)
+        unit[e] = 1.0
+        grad[e] = np.sum(f(*args[:i], unit.reshape(arrays[i].shape), *args[i + 1 :]) * gout)
+    return grad.reshape(arrays[i].shape)
+
+
+def _precision_cases(rng):
+    def u(*shape):
+        return rng.uniform(-1, 1, shape).astype(np.float32)
+
+    blocks = u(4, 3, 2, 3)
+    return {
+        "matmul": (tn.matmul, lambda a, b: a @ b, [u(5, 4), u(4, 3)], (0, 1)),
+        "banded_matmul": (
+            lambda x: tn.banded_matmul(blocks, x),
+            lambda x: blocks_to_dense(blocks).astype(np.float64) @ x,
+            [u(12, 3)],
+            (0,),
+        ),
+        "conv1d_temporal": (
+            lambda x, k: tn.conv1d_temporal(x, k, 2, nodes=3, pad=1),
+            lambda x, k: _conv64(x, k, 2, 3, 1),
+            [u(18, 2), u(3, 2, 4)],
+            (0, 1),
+        ),
+        "deconv1d_temporal": (
+            lambda x, k: tn.deconv1d_temporal(x, k, 2, nodes=3, steps=6),
+            lambda x, k: _deconv64(x, k, 2, 3, 6),
+            [u(9, 2), u(3, 2, 4)],
+            (0, 1),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["matmul", "banded_matmul", "conv1d_temporal", "deconv1d_temporal"]
+)
+def test_products_run_in_float32_within_1e5_of_float64(name):
+    op, ref64, arrays, wrt = _precision_cases(np.random.default_rng(6))[name]
+    tape = Tape()
+    out = op(*[tape.watch(a) for a in arrays])
+    expected = ref64(*[a.astype(np.float64) for a in arrays])
+    assert out.data.dtype == np.float32, name
+    assert np.abs(out.data - expected).max() <= 1e-5 * np.abs(expected).max(), name
+    gout = np.random.default_rng(7).uniform(-1, 1, out.shape).astype(np.float32)
+    (_, _, grad_fn), = tape._records
+    grads = grad_fn(gout)
+    for i in wrt:
+        expected = _vjp64(ref64, arrays, i, gout.astype(np.float64))
+        assert grads[i].dtype == np.float32, (name, i)
+        assert np.abs(grads[i] - expected).max() <= 1e-5 * np.abs(expected).max(), (name, i)
+
+
+def test_masked_ce_loss_keeps_float64_log_sum_exp():
+    # one row repeated at a large offset: a float32 log-sum-exp rounds every
+    # timestep the same way and misses this loss by ~1e-5 relative
+    rng = np.random.default_rng(0)
+    scores = np.tile(1000.0 + rng.uniform(-2, 2, 5), (20, 1)).astype(np.float32)
+    labels = rng.integers(0, 5, 20)
+    mask = np.arange(20) % 3 != 0
+    s = scores.astype(np.float64)
+    logz = s.max(axis=1) + np.log(np.exp(s - s.max(axis=1, keepdims=True)).sum(axis=1))
+    expected = (logz - s[np.arange(20), labels])[mask].mean()
+    loss = masked_ce_loss(Tensor(scores), labels, mask).data
+    assert loss.dtype == np.float32
+    assert abs(float(loss) - expected) <= 1e-6 * abs(expected)
 
 
 # -- serialization -----------------------------------------------------------

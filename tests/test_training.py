@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import assert_grad_close, finite_diff
+from stacked_stgcn import training
 from stacked_stgcn.errors import NumericalError, ValidationError
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, generate_dataset, synth_generate
-from stacked_stgcn.tensor import Tape, Tensor, backward
+from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor
 from stacked_stgcn.training import (
     TrainConfig,
     leave_one_group_out,
@@ -292,6 +293,26 @@ def test_checkpoint_roundtrip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_failed_checkpoint_save_leaves_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), StgcnModel(TINY_MODEL, seed=3), TrainConfig(), epoch=1)
+    before = path.read_bytes()
+    written = []
+
+    def failing_dump(fh, arr):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(arr)
+        dump_tensor(fh, arr)
+
+    monkeypatch.setattr(training, "dump_tensor", failing_dump)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), StgcnModel(TINY_MODEL, seed=4), TrainConfig(), epoch=2)
+    assert len(written) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_checkpoint_rejects_foreign_file(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes((2).to_bytes(4, "little") + b"{}")
@@ -309,8 +330,9 @@ def test_checkpoint_from_separate_first_layer_path_still_loads(tmp_path):
     TrainConfig(lr0=0.01, seed=0), epoch=3, rng=np.random.default_rng(11))``
     for a two-cluster ``per-cluster-gcn`` model (d_model=4, levels=2), and
     the scores next to it are that model's forward on a fixed synthetic
-    sequence. The train seed differs from the model seed, so the scores only
-    match when the blobs are read.
+    sequence, computed with float64 products. The train seed differs from the
+    model seed, so the scores only match when the blobs are read. Products
+    run in float32, so they are compared at acceptance criterion 4's 1e-5.
     """
     path = FIXTURES / "per_cluster_gcn.ckpt"
     model, train_cfg, epoch, rng_state = load_checkpoint(str(path))
@@ -321,7 +343,7 @@ def test_checkpoint_from_separate_first_layer_path_still_loads(tmp_path):
         1,
     )
     expected = np.load(FIXTURES / "per_cluster_gcn_scores.npy")
-    assert model.forward_scores(seq).tobytes() == expected.tobytes()
+    assert np.abs(model.forward_scores(seq) - expected).max() <= 1e-5
     rng = np.random.default_rng()
     rng.bit_generator.state = rng_state
     again = tmp_path / "again.ckpt"
