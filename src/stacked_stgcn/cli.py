@@ -30,9 +30,12 @@ from .synth import SynthConfig, generate_dataset, synth_generate
 from .training import TrainConfig, atomic_write, load_checkpoint, train
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _refuse_overwrite(path: str, force: bool) -> None:
@@ -46,9 +49,16 @@ def _refuse_overwrite(path: str, force: bool) -> None:
 
 def _load_manifest(path: str, split: Optional[str]) -> List[Tuple[str, StgSequence]]:
     manifest = _load_json(path)
-    root = os.path.join(os.path.dirname(path), manifest.get("root", "."))
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("sequences"), list):
+        raise ValidationError(f"dataset manifest {path}: needs a 'sequences' array")
+    root = manifest.get("root", ".")
+    if not isinstance(root, str):
+        raise ValidationError(f"dataset manifest {path}: 'root' must be a string")
+    root = os.path.join(os.path.dirname(path), root)
     out = []
     for entry in manifest["sequences"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ValidationError(f"dataset manifest {path}: each sequence needs a 'path' string")
         if split is not None and entry.get("split") != split:
             continue
         seq_path = os.path.join(root, entry["path"])
@@ -75,8 +85,9 @@ def cmd_synth(args) -> int:
         )
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump({"root": ".", "sequences": entries}, fh, indent=1, sort_keys=True)
+    means = [[m.tolist() for m in row] for row in oracle["means"]]
     with open(os.path.join(args.out, "oracle.json"), "w") as fh:
-        json.dump(oracle, fh, sort_keys=True)
+        json.dump(dict(oracle, means=means), fh, sort_keys=True)
     print(f"wrote {len(seqs)} sequences to {args.out}")
     return 0
 

@@ -5,7 +5,8 @@ with a boolean presence mask; feature rows are zero wherever a node is
 absent. Spatial edges connect two tracks within one timestep; temporal edges
 connect (track, t) to (track', t + delta) with delta >= 1 and may skip
 timesteps to bridge deformation (missed detections, occlusion, nodes that
-appear or disappear).
+appear or disappear). Each edge list is one flat table with a row per edge
+(the COO layout), checked once, when the sequence is built.
 
 Flattening convention: the node-time index of (track n, timestep t) is
 ``t * N + n`` (timestep-major), so temporal subsampling selects contiguous
@@ -17,8 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .errors import ValidationError
 from .tensor import DTYPE, dump_tensor, load_tensor
 
 NODE_TYPES = ("actor", "object", "scene", "action", "other")
-
-SpatialEdge = Tuple[int, int, float]           # (track_i, track_j, weight)
-TemporalEdge = Tuple[int, int, int, int, float]  # (track_i, t_i, track_j, t_j, weight)
 
 
 @dataclass(frozen=True)
@@ -49,22 +46,30 @@ class NodeTrack:
 
 @dataclass(frozen=True)
 class StgSequence:
+    """A graph sequence, checked by :func:`validate_sequence` when it is built.
+
+    Edge rows may come as any array-like (arrays, tuples, JSON lists); they
+    are stored once as read-only float64 arrays with whole-number indices.
+    """
+
     num_steps: int
     num_classes: int
     mode: str  # "single" | "multi"
     clusters: Tuple[FeatureCluster, ...]
     tracks: Tuple[NodeTrack, ...]
-    spatial_edges: Tuple[Tuple[SpatialEdge, ...], ...]  # one tuple per timestep
-    temporal_edges: Tuple[TemporalEdge, ...]
+    spatial_edges: np.ndarray   # (E_s, 4) rows (t, i, j, w)
+    temporal_edges: np.ndarray  # (E_t, 5) rows (i, t_i, j, t_j, w)
     labels: np.ndarray      # (T,) int for single, (T, C) {0,1} for multi
     label_mask: np.ndarray  # (T,) bool
+
+    def __post_init__(self):
+        for name, width in (("spatial_edges", 4), ("temporal_edges", 5)):
+            object.__setattr__(self, name, _edge_table(getattr(self, name), width, name))
+        validate_sequence(self)
 
     @property
     def num_tracks(self) -> int:
         return len(self.tracks)
-
-    def present(self, track: int, t: int) -> bool:
-        return bool(self.tracks[track].presence[t])
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,37 @@ def flat_index(track: int, t: int, num_tracks: int) -> int:
     return t * num_tracks + track
 
 
+def _edge_table(rows, width: int, name: str) -> np.ndarray:
+    """Rows of ``width`` finite numbers, whole but for the weight, as read-only float64."""
+    try:
+        table = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
+        raise ValidationError(f"{name}: rows must hold {width} numbers each ({exc})") from exc
+    if table.shape == (0,):
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise ValidationError(f"{name}: expected rows of {width} numbers, got shape {table.shape}")
+    bad = table != np.round(table)
+    bad[:, -1] = False  # weights may be fractional
+    bad |= ~np.isfinite(table)
+    if bad.any():
+        k = int(np.argmax(bad.reshape(-1))) // width
+        raise ValidationError(f"{name}: row {k} {table[k].tolist()} is not finite or not whole")
+    table.flags.writeable = False
+    return table
+
+
+def _edge_ends(seq: StgSequence):
+    """Both edge tables as (5, E) arrays n1, t1, n2, t2, w: edges join (n1, t1) and (n2, t2)."""
+    return seq.spatial_edges.T[[1, 0, 2, 0, 3]], seq.temporal_edges.T[[0, 1, 2, 3, 4]]
+
+
 def validate_sequence(seq: StgSequence) -> None:
-    """Raise ValidationError if any sequence invariant is broken."""
+    """Raise ValidationError if any sequence invariant is broken.
+
+    Edges are checked a column at a time against the (N, T) presence array;
+    the error names the first edge, in row order, that breaks one.
+    """
     T, N = seq.num_steps, seq.num_tracks
     if seq.mode not in ("single", "multi"):
         raise ValidationError(f"unknown label mode {seq.mode!r}")
@@ -108,25 +142,29 @@ def validate_sequence(seq: StgSequence) -> None:
             raise ValidationError(f"track {tr.track_id}: bad presence shape")
         if np.any(tr.features[~tr.presence] != 0):
             raise ValidationError(f"track {tr.track_id}: nonzero features at absent timesteps")
-    if len(seq.spatial_edges) != T:
-        raise ValidationError("spatial_edges must list one edge set per timestep")
-    for t, edges in enumerate(seq.spatial_edges):
-        for i, j, w in edges:
-            if w < 0:
-                raise ValidationError(f"negative spatial edge weight at t={t}")
-            if not (0 <= i < N and 0 <= j < N):
-                raise ValidationError(f"spatial edge ({i},{j}) out of range at t={t}")
-            if not (seq.present(i, t) and seq.present(j, t)):
-                raise ValidationError(f"spatial edge ({i},{j}) touches absent node at t={t}")
-    for i, ti, j, tj, w in seq.temporal_edges:
-        if w < 0:
-            raise ValidationError("negative temporal edge weight")
-        if not (0 <= i < N and 0 <= j < N and 0 <= ti < T and 0 <= tj < T):
-            raise ValidationError(f"temporal edge ({i},{ti})->({j},{tj}) out of range")
-        if not 1 <= tj - ti:
-            raise ValidationError("temporal edges must advance in time (t_j > t_i)")
-        if not (seq.present(i, ti) and seq.present(j, tj)):
-            raise ValidationError(f"temporal edge ({i},{ti})->({j},{tj}) touches absent node")
+    # one absent row and column past the end, where out-of-range edge ends are looked up
+    present = np.zeros((N + 1, T + 1), dtype=bool)
+    present[:N, :T] = np.array([tr.presence for tr in seq.tracks], dtype=bool).reshape(N, T)
+    bounds = np.array([[N], [T], [N], [T]])
+    reasons = ("has a negative weight", "is out of range", "must advance in time",
+               "touches an absent node")
+    for kind, ends, gap in zip(("spatial", "temporal"), _edge_ends(seq), (0, 1)):
+        n1, t1, n2, t2, w = ends
+        inside = (0 <= ends[:4]) & (ends[:4] < bounds)
+        cell = np.where(inside, ends[:4], bounds).astype(np.intp)
+        ok = (
+            w >= 0,
+            inside.all(axis=0),
+            t2 - t1 >= gap,
+            present[cell[0], cell[1]] & present[cell[2], cell[3]],
+        )
+        bad = ~np.logical_and.reduce(ok)
+        if bad.any():
+            k = int(np.argmax(bad))
+            reason = next(r for r, passed in zip(reasons, ok) if not passed[k])
+            raise ValidationError(
+                f"{kind} edge ({n1[k]:.0f},{t1[k]:.0f})->({n2[k]:.0f},{t2[k]:.0f}) {reason}"
+            )
     if seq.mode == "single":
         if seq.labels.shape != (T,):
             raise ValidationError("single-label mode needs a (T,) label vector")
@@ -144,7 +182,7 @@ def build_adjacency(
     span: int,
     cross_cluster_in_temporal: bool = False,
 ) -> AdjacencyPair:
-    """Assemble raw spatial and temporal adjacency for a validated sequence.
+    """Assemble raw spatial and temporal adjacency for a sequence.
 
     A_s carries intra-cluster spatial edges, block-diagonal over time. A_t
     carries temporal edges with gap delta in [1, span] in a band of half-width
@@ -155,34 +193,20 @@ def build_adjacency(
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
-    validate_sequence(seq)
     T, N = seq.num_steps, seq.num_tracks
     a_s = blocks.zeros(T, 0, N, DTYPE)
     a_t = blocks.zeros(T, span, N, DTYPE)
-    t = np.repeat(np.arange(T), [len(edges) for edges in seq.spatial_edges])
-    i, j, w = _edge_columns(list(chain.from_iterable(seq.spatial_edges)), 3)
-    keep = i != j
-    t, i, j, w = t[keep], i[keep], j[keep], w[keep]
-    cross = np.zeros(t.shape, dtype=bool)
-    if cross_cluster_in_temporal:
-        cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
-        cross = cluster[i] != cluster[j]
-    blocks.raise_symmetric(a_s, t[~cross], 0, i[~cross], j[~cross], w[~cross])
-    blocks.raise_symmetric(a_t, t[cross], 0, i[cross], j[cross], w[cross])
-    i, ti, j, tj, w = _edge_columns(seq.temporal_edges, 5)
-    near = tj - ti <= span
-    blocks.raise_symmetric(a_t, ti[near], (tj - ti)[near], i[near], j[near], w[near])
+    cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
+    for ends in _edge_ends(seq):
+        i, t, j, u = ends[:4].astype(np.intp)
+        w, delta = ends[4].astype(DTYPE), u - t
+        # spatial self loops are dropped; the normalization adds its own
+        keep = ((i != j) | (delta > 0)) & (delta <= span)
+        to_t = keep & ((delta > 0) | (cross_cluster_in_temporal & (cluster[i] != cluster[j])))
+        to_s = keep & ~to_t
+        blocks.raise_symmetric(a_s, t[to_s], 0, i[to_s], j[to_s], w[to_s])
+        blocks.raise_symmetric(a_t, t[to_t], delta[to_t], i[to_t], j[to_t], w[to_t])
     return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=T)
-
-
-def _edge_columns(edges: Sequence[tuple], width: int) -> List[np.ndarray]:
-    """Columns of ``width``-tuples: indices as intp, the last (the weight) as float32."""
-    table = np.fromiter(
-        chain.from_iterable(edges), dtype=np.float64, count=width * len(edges)
-    ).reshape(-1, width)
-    return [table[:, c].astype(np.intp) for c in range(width - 1)] + [
-        table[:, -1].astype(DTYPE)
-    ]
 
 
 def apply_deformation(
@@ -190,35 +214,27 @@ def apply_deformation(
 ) -> StgSequence:
     """Mark (track, timestep) pairs absent and strip their incident edges."""
     T, N = seq.num_steps, seq.num_tracks
-    dropped = set()
-    for n, t in drop_schedule:
-        if not (0 <= n < N and 0 <= t < T):
-            raise ValidationError(f"drop point ({n},{t}) out of range")
-        dropped.add((n, t))
-    if not dropped:
+    points = np.asarray(drop_schedule, dtype=np.intp).reshape(-1, 2)
+    outside = ~((0 <= points) & (points < (N, T))).all(axis=1)
+    if outside.any():
+        n, t = points[np.argmax(outside)].tolist()
+        raise ValidationError(f"drop point ({n},{t}) out of range")
+    if not len(points):
         return seq
-    tracks = []
-    for n, tr in enumerate(seq.tracks):
-        hit = [t for (m, t) in dropped if m == n]
-        if not hit:
-            tracks.append(tr)
-            continue
-        presence = tr.presence.copy()
-        features = tr.features.copy()
-        presence[hit] = False
-        features[hit] = 0
-        tracks.append(replace(tr, presence=presence, features=features))
-    spatial = tuple(
-        tuple(e for e in edges if (e[0], t) not in dropped and (e[1], t) not in dropped)
-        for t, edges in enumerate(seq.spatial_edges)
+    dropped = np.zeros((N, T), dtype=bool)
+    dropped[points[:, 0], points[:, 1]] = True
+    tracks = tuple(
+        replace(tr, presence=tr.presence & ~hit, features=np.where(hit[:, None], 0, tr.features))
+        if hit.any() else tr
+        for tr, hit in zip(seq.tracks, dropped)
     )
-    temporal = tuple(
-        e for e in seq.temporal_edges
-        if (e[0], e[1]) not in dropped and (e[2], e[3]) not in dropped
+    spatial, temporal = (
+        rows[~(dropped[i, t] | dropped[j, u])]
+        for rows, (i, t, j, u) in zip(
+            (seq.spatial_edges, seq.temporal_edges),
+            (ends[:4].astype(np.intp) for ends in _edge_ends(seq)))
     )
-    return replace(
-        seq, tracks=tuple(tracks), spatial_edges=spatial, temporal_edges=temporal
-    )
+    return replace(seq, tracks=tracks, spatial_edges=spatial, temporal_edges=temporal)
 
 
 def slice_sequence(seq: StgSequence, start: int, length: int) -> StgSequence:
@@ -230,17 +246,16 @@ def slice_sequence(seq: StgSequence, start: int, length: int) -> StgSequence:
         replace(tr, features=tr.features[sl].copy(), presence=tr.presence[sl].copy())
         for tr in seq.tracks
     )
-    temporal = tuple(
-        (i, ti - start, j, tj - start, w)
-        for (i, ti, j, tj, w) in seq.temporal_edges
-        if start <= ti and tj < start + length
-    )
+    spatial, temporal = seq.spatial_edges, seq.temporal_edges
+    within = (start <= spatial[:, 0]) & (spatial[:, 0] < start + length)
+    # t_i < t_j, so an edge lies inside exactly when both of its ends do
+    spans = (start <= temporal[:, 1]) & (temporal[:, 3] < start + length)
     return replace(
         seq,
         num_steps=length,
         tracks=tracks,
-        spatial_edges=seq.spatial_edges[sl],
-        temporal_edges=temporal,
+        spatial_edges=spatial[within] - (start, 0, 0, 0),
+        temporal_edges=temporal[spans] - (0, start, 0, start, 0),
         labels=seq.labels[sl].copy(),
         label_mask=seq.label_mask[sl].copy(),
     )
@@ -274,7 +289,6 @@ def pad_sequence(seq: StgSequence, length: int) -> StgSequence:
         seq,
         num_steps=length,
         tracks=tracks,
-        spatial_edges=seq.spatial_edges + tuple(() for _ in range(extra)),
         labels=labels,
         label_mask=np.concatenate([seq.label_mask, np.zeros(extra, dtype=bool)]),
     )
@@ -284,8 +298,26 @@ def pad_sequence(seq: StgSequence, length: int) -> StgSequence:
 # STGS on-disk format: manifest.json + one feature blob per track
 
 
+def spatial_edge_rows(per_step, num_steps: int) -> list:
+    """Per-timestep ``[i, j, w]`` lists, as JSON holds them, as rows ``[t, i, j, w]``."""
+    if not isinstance(per_step, list) or len(per_step) != num_steps:
+        raise ValidationError("spatial_edges must list one edge set per timestep")
+    try:
+        return [[t, *edge] for t, edges in enumerate(per_step) for edge in edges]
+    except TypeError as exc:
+        raise ValidationError(f"spatial_edges: malformed edge set ({exc})") from exc
+
+
+def _json_rows(rows: np.ndarray) -> list:
+    """Edge rows as JSON lists: the index columns as ints, the weight as a float."""
+    out = rows.astype(object)
+    out[:, :-1] = rows[:, :-1].astype(np.int64)
+    return out.tolist()
+
+
 def save_stgs(seq: StgSequence, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
+    spatial, t = seq.spatial_edges, seq.spatial_edges[:, 0]
     manifest = {
         "format": "stgs-1",
         "T": seq.num_steps,
@@ -305,12 +337,8 @@ def save_stgs(seq: StgSequence, directory: str) -> None:
             }
             for n, tr in enumerate(seq.tracks)
         ],
-        "spatial_edges": [
-            [[i, j, float(w)] for (i, j, w) in edges] for edges in seq.spatial_edges
-        ],
-        "temporal_edges": [
-            [i, ti, j, tj, float(w)] for (i, ti, j, tj, w) in seq.temporal_edges
-        ],
+        "spatial_edges": [_json_rows(spatial[t == k, 1:]) for k in range(seq.num_steps)],
+        "temporal_edges": _json_rows(seq.temporal_edges),
         "labels": seq.labels.tolist(),
         "label_mask": [bool(m) for m in seq.label_mask],
     }
@@ -321,7 +349,7 @@ def save_stgs(seq: StgSequence, directory: str) -> None:
             dump_tensor(fh, tr.features)
 
 
-_MANIFEST_KEYS = (
+_MANIFEST_KEYS = (  # T, C and mode, then the JSON arrays
     "T", "C", "mode", "clusters", "tracks", "spatial_edges", "temporal_edges",
     "labels", "label_mask",
 )
@@ -340,12 +368,18 @@ def _require_keys(entries, keys, where: str) -> None:
 
 
 def load_stgs(directory: str) -> StgSequence:
+    where = f"STGS manifest {directory}"
     with open(os.path.join(directory, "manifest.json")) as fh:
-        m = json.load(fh)
+        try:
+            m = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
     if not isinstance(m, dict) or m.get("format") != "stgs-1":
         raise ValidationError(f"not an STGS manifest: {directory}")
-    where = f"STGS manifest {directory}"
     _require_keys([m], _MANIFEST_KEYS, where)
+    for key in _MANIFEST_KEYS[3:]:
+        if not isinstance(m[key], list):
+            raise ValidationError(f"{where}: {key!r} must be a JSON array")
     _require_keys(m["clusters"], _CLUSTER_KEYS, f"{where}, cluster")
     _require_keys(m["tracks"], _TRACK_KEYS, f"{where}, track")
     T, C, mode = m["T"], m["C"], m["mode"]
@@ -369,26 +403,18 @@ def load_stgs(directory: str) -> StgSequence:
                 presence=np.asarray(entry["presence"], dtype=bool),
             )
         )
-    if mode == "single":
-        labels = np.asarray(m["labels"], dtype=np.int64)
-    else:
-        labels = np.asarray(m["labels"], dtype=DTYPE)
-    seq = StgSequence(
-        num_steps=T,
-        num_classes=C,
-        mode=mode,
-        clusters=clusters,
-        tracks=tuple(tracks),
-        spatial_edges=tuple(
-            tuple((int(i), int(j), float(w)) for i, j, w in edges)
-            for edges in m["spatial_edges"]
-        ),
-        temporal_edges=tuple(
-            (int(i), int(ti), int(j), int(tj), float(w))
-            for i, ti, j, tj, w in m["temporal_edges"]
-        ),
-        labels=labels,
-        label_mask=np.asarray(m["label_mask"], dtype=bool),
-    )
-    validate_sequence(seq)
-    return seq
+    labels = np.asarray(m["labels"], dtype=np.int64 if mode == "single" else DTYPE)
+    try:
+        return StgSequence(
+            num_steps=T,
+            num_classes=C,
+            mode=mode,
+            clusters=clusters,
+            tracks=tuple(tracks),
+            spatial_edges=spatial_edge_rows(m["spatial_edges"], T),
+            temporal_edges=m["temporal_edges"],
+            labels=labels,
+            label_mask=np.asarray(m["label_mask"], dtype=bool),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc

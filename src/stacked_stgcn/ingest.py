@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .errors import ValidationError
-from .graph import FeatureCluster, NodeTrack, StgSequence, validate_sequence
+from .graph import FeatureCluster, NodeTrack, StgSequence, spatial_edge_rows
 from .tensor import DTYPE
 
 
@@ -71,30 +71,16 @@ def ingest_cad120_style(table: dict) -> StgSequence:
     )
 
     raw_spatial = table.get("spatial_edges")
-    if raw_spatial is None:
-        spatial = tuple(() for _ in range(T))
-    else:
-        if len(raw_spatial) != T:
-            raise ValidationError("spatial_edges must list one edge set per segment")
-        spatial = tuple(
-            tuple((int(i), int(j), float(w)) for i, j, w in edges)
-            for edges in raw_spatial
-        )
+    spatial = np.zeros((0, 4)) if raw_spatial is None else spatial_edge_rows(raw_spatial, T)
 
-    raw_temporal = table.get("temporal_edges")
-    if raw_temporal is None:
+    temporal = table.get("temporal_edges")
+    if temporal is None:
         # default: chain every track to itself across consecutive segments
-        temporal = tuple(
-            (n, t, n, t + 1, 1.0) for n in range(len(tracks)) for t in range(T - 1)
-        )
-    else:
-        temporal = tuple(
-            (int(i), int(ti), int(j), int(tj), float(w))
-            for i, ti, j, tj, w in raw_temporal
-        )
+        n, t = np.nonzero(np.ones((len(tracks), T - 1), dtype=bool))
+        temporal = np.column_stack([n, t, n, t + 1, np.ones(n.size)])
 
     labels = np.asarray(table.get("labels", [0] * T), dtype=np.int64)
-    seq = StgSequence(
+    return StgSequence(
         num_steps=T,
         num_classes=num_classes,
         mode="single",
@@ -105,10 +91,12 @@ def ingest_cad120_style(table: dict) -> StgSequence:
         labels=labels,
         label_mask=np.ones(T, dtype=bool),
     )
-    validate_sequence(seq)
-    return seq
 
 
 def ingest_cad120_file(path: str) -> StgSequence:
     with open(path) as fh:
-        return ingest_cad120_style(json.load(fh))
+        try:
+            table = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    return ingest_cad120_style(table)

@@ -95,7 +95,8 @@ def synth_generate(
     """Generate one labeled sequence; deterministic given seed and means.
 
     Returns the sequence and the generative parameters used (for oracle
-    checks). When ``means`` is None, fresh means are drawn from the same rng.
+    checks): the config as a dict and the class means as arrays. When
+    ``means`` is None, fresh means are drawn from the same rng.
     """
     _validate_config(cfg)
     rng = np.random.default_rng(seed)
@@ -146,21 +147,12 @@ def synth_generate(
             )
             n += 1
 
-    spatial = tuple(
-        tuple(
-            (i, j, cfg.spatial_eps)
-            for i in range(N)
-            for j in range(i + 1, N)
-        )
-        for _ in range(T)
-    )
-    temporal = tuple(
-        (n, t, n, t + d, cfg.temporal_weight)
-        for n in range(N)
-        for t in range(T)
-        for d in range(1, cfg.temporal_span + 1)
-        if t + d < T
-    )
+    # np.nonzero lists indices in row-major order: rows sorted by (t, i, j) and (n, t, gap)
+    t, i, j = np.nonzero(np.broadcast_to(np.triu(np.ones((N, N), dtype=bool), 1), (T, N, N)))
+    spatial = np.column_stack([t, i, j, np.full(t.size, cfg.spatial_eps)])
+    inside = np.arange(T)[:, None] + np.arange(1, cfg.temporal_span + 1) < T  # (t, gap - 1)
+    n, t, d = np.nonzero(np.broadcast_to(inside, (N,) + inside.shape))
+    temporal = np.column_stack([n, t, n, t + d + 1, np.full(n.size, cfg.temporal_weight)])
     seq = StgSequence(
         num_steps=T,
         num_classes=C,
@@ -172,27 +164,20 @@ def synth_generate(
         labels=labels,
         label_mask=np.ones(T, dtype=bool),
     )
-    oracle = {
-        "config": cfg.to_dict(),
-        "means": [[m.tolist() for m in row] for row in means],
-    }
-    return seq, oracle
+    return seq, {"config": cfg.to_dict(), "means": means}
 
 
 def generate_dataset(
     cfg: SynthConfig, seed: int, count: int
 ) -> Tuple[List[StgSequence], dict]:
-    """Generate ``count`` sequences sharing one set of class means."""
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(count + 1)
+    """Generate ``count`` sequences sharing one set of class means, and their oracle."""
+    children = np.random.SeedSequence(seed).spawn(count + 1)
     means = make_class_means(cfg, np.random.default_rng(children[0]))
-    seqs = []
-    oracle = None
-    for i in range(count):
-        child_seed = int(children[i + 1].generate_state(1)[0])
-        seq, oracle = synth_generate(cfg, child_seed, means=means)
-        seqs.append(seq)
-    return seqs, oracle
+    seqs = [
+        synth_generate(cfg, int(child.generate_state(1)[0]), means=means)[0]
+        for child in children[1:]
+    ]
+    return seqs, {"config": cfg.to_dict(), "means": means}
 
 
 def bayes_predict(seq: StgSequence, means: Sequence[Sequence[np.ndarray]]) -> np.ndarray:

@@ -47,16 +47,17 @@ def dense_build_adjacency(seq, span, cross_cluster_in_temporal=False):
     nt = N * T
     a_s = np.zeros((nt, nt), dtype=np.float32)
     a_t = np.zeros((nt, nt), dtype=np.float32)
-    for t, edges in enumerate(seq.spatial_edges):
-        for i, j, w in edges:
-            if i == j:
-                continue
-            u, v = flat_index(i, t, N), flat_index(j, t, N)
-            same_cluster = seq.tracks[i].cluster_id == seq.tracks[j].cluster_id
-            target = a_t if (cross_cluster_in_temporal and not same_cluster) else a_s
-            target[u, v] = max(target[u, v], np.float32(w))
-            target[v, u] = target[u, v]
+    for t, i, j, w in seq.spatial_edges:
+        t, i, j = int(t), int(i), int(j)
+        if i == j:
+            continue
+        u, v = flat_index(i, t, N), flat_index(j, t, N)
+        same_cluster = seq.tracks[i].cluster_id == seq.tracks[j].cluster_id
+        target = a_t if (cross_cluster_in_temporal and not same_cluster) else a_s
+        target[u, v] = max(target[u, v], np.float32(w))
+        target[v, u] = target[u, v]
     for i, ti, j, tj, w in seq.temporal_edges:
+        i, ti, j, tj = int(i), int(ti), int(j), int(tj)
         if tj - ti > span:
             continue
         u, v = flat_index(i, ti, N), flat_index(j, tj, N)

@@ -9,6 +9,7 @@ from stacked_stgcn import cli, evaluate
 from stacked_stgcn.cli import main
 from stacked_stgcn.graph import load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel
+from stacked_stgcn.synth import SynthConfig, generate_dataset
 from stacked_stgcn.training import TrainConfig, save_checkpoint
 
 SYNTH_CONFIG = {
@@ -66,6 +67,8 @@ def test_synth_writes_dataset(dataset):
     assert splits.count("train") == 3 and splits.count("test") == 2
     oracle = json.loads((dataset / "oracle.json").read_text())
     assert len(oracle["means"]) == 3  # one mean row per class
+    _, generated = generate_dataset(SynthConfig.from_dict(SYNTH_CONFIG["synth"]), 5, 5)
+    assert oracle["means"] == [[m.tolist() for m in row] for row in generated["means"]]
 
 
 def test_synth_refuses_overwrite(dataset, tmp_path):
@@ -105,7 +108,7 @@ def test_ingest_actor_only_chain(tmp_path):
     assert main(["ingest", "--input", src, "--out", str(out)]) == 0
     seq = load_stgs(str(out))
     assert seq.num_tracks == 1 and seq.num_steps == 3
-    assert seq.temporal_edges == ((0, 0, 0, 1, 1.0), (0, 1, 0, 2, 1.0))
+    assert seq.temporal_edges.tolist() == [[0, 0, 0, 1, 1.0], [0, 1, 0, 2, 1.0]]
     assert seq.labels.tolist() == [0, 1, 1]
 
 
@@ -375,6 +378,59 @@ def test_eval_rejects_stgs_manifest_missing_key(tmp_path, capsys, corrupt, key):
     err = capsys.readouterr().err
     assert f"missing key {key}" in err and seq_dir.name in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def stgs_clusters_not_array(text):
+    doc = json.loads(text)
+    doc["clusters"] = 5
+    return json.dumps(doc)
+
+
+def stgs_temporal_edge_short(text):
+    doc = json.loads(text)
+    doc["temporal_edges"][0] = [0, 1, 2]
+    return json.dumps(doc)
+
+
+def stgs_temporal_edge_fraction(text):
+    doc = json.loads(text)
+    doc["temporal_edges"][0][1] = 0.5
+    return json.dumps(doc)
+
+
+def stgs_truncated_json(text):
+    return '{"T": '
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [stgs_clusters_not_array, stgs_temporal_edge_short, stgs_temporal_edge_fraction,
+     stgs_truncated_json],
+    ids=["clusters-int", "edge-3-values", "edge-fraction", "invalid-json"],
+)
+def test_eval_rejects_malformed_stgs_manifest(tmp_path, capsys, corrupt):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    entries = json.loads(manifest.read_text())["sequences"]
+    seq_dir = manifest.parent / next(e["path"] for e in entries if e["split"] == "test")
+    target = seq_dir / "manifest.json"
+    target.write_text(corrupt(target.read_text()))
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert seq_dir.name in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_rejects_dataset_manifest_without_sequences(tmp_path, capsys):
+    _, ckpt, _ = multi_label_data(tmp_path)
+    manifest = write_json(tmp_path / "bare.json", {"root": "."})
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", manifest, "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bare.json" in err and "Traceback" not in err
     assert not out.exists()
 
 

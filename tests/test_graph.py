@@ -1,5 +1,9 @@
 """Graph model: adjacency assembly, deformation, synthesis, STGS format."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,9 @@ from stacked_stgcn.evaluate import f1_score
 
 from dense_reference import blocks_to_dense, dense_build_adjacency
 
+# written by save_stgs before edges were stored as arrays; see deformed_two_cluster()
+STGS_FIXTURE = Path(__file__).parent / "data" / "deformed_two_cluster.stgs"
+
 
 def chain_sequence(T=3, span=3, num_tracks=1, feature_len=2, weight=1.0):
     """Tracks chained to themselves across timesteps with gaps 1..span."""
@@ -57,7 +64,7 @@ def chain_sequence(T=3, span=3, num_tracks=1, feature_len=2, weight=1.0):
         mode="single",
         clusters=(FeatureCluster(0, feature_len),),
         tracks=tracks,
-        spatial_edges=tuple(() for _ in range(T)),
+        spatial_edges=(),
         temporal_edges=temporal,
         labels=np.zeros(T, dtype=np.int64),
         label_mask=np.ones(T, dtype=bool),
@@ -113,7 +120,7 @@ def test_spatial_edges_split_by_cluster():
         num_steps=T, num_classes=2, mode="single",
         clusters=(FeatureCluster(0, 2), FeatureCluster(1, 3)),
         tracks=(track("a", 0, 2), track("b", 0, 2), track("c", 1, 3)),
-        spatial_edges=(((0, 1, 0.5), (0, 2, 0.7)), ()),
+        spatial_edges=((0, 0, 1, 0.5), (0, 0, 2, 0.7)),
         temporal_edges=(),
         labels=np.zeros(T, dtype=np.int64),
         label_mask=np.ones(T, dtype=bool),
@@ -134,11 +141,45 @@ def test_edge_touching_absent_node_rejected():
     features = tr.features.copy()
     presence[1] = False
     features[1] = 0
-    from dataclasses import replace
-
-    bad = replace(seq, tracks=(replace(tr, presence=presence, features=features),))
     with pytest.raises(ValidationError):
-        validate_sequence(bad)
+        replace(seq, tracks=(replace(tr, presence=presence, features=features),))
+
+
+@pytest.mark.parametrize(
+    "temporal, named",
+    [
+        (((0, 0, 0, 1, 1.0), (0, 1, 0, 0, 1.0), (0, 0, 0, 5, 1.0)), "(0,1)->(0,0)"),
+        (((0, 0, 0, 1, 1.0), (0, 0, 0, 5, 1.0), (0, 1, 0, 0, 1.0)), "(0,0)->(0,5)"),
+        (((0, 1, 0, 2, -1.0), (0, 0, 0, 5, 1.0)), "(0,1)->(0,2)"),
+    ],
+)
+def test_invalid_edge_error_names_first_bad_row(temporal, named):
+    with pytest.raises(ValidationError, match=f"temporal edge {re.escape(named)}") as err:
+        replace(chain_sequence(T=3, span=0), temporal_edges=temporal)
+    assert str(err.value).count("->") == 1
+
+
+@pytest.mark.parametrize(
+    "temporal",
+    [
+        ((0, 0, 0, 1),),                        # four columns
+        ((0, 0, 0, 1, 1.0), (0, 1, 0)),         # ragged rows
+        ((0, 0, 0, 1, "w"),),                   # not a number
+        ((0, 0.5, 0, 1, 1.0),),                 # index not a whole number
+        ((0, 0, 0, 1, float("nan")),),          # weight not finite
+    ],
+    ids=["width", "ragged", "text", "fraction", "nan"],
+)
+def test_malformed_edge_rows_rejected(temporal):
+    with pytest.raises(ValidationError):
+        replace(chain_sequence(T=3, span=0), temporal_edges=temporal)
+
+
+def test_edges_are_read_only_float64():
+    seq = chain_sequence(T=4, span=2)
+    for edges, width in ((seq.spatial_edges, 4), (seq.temporal_edges, 5)):
+        assert edges.dtype == np.float64 and edges.shape[1] == width
+        assert not edges.flags.writeable
 
 
 def test_nonzero_features_at_absent_step_rejected():
@@ -146,11 +187,8 @@ def test_nonzero_features_at_absent_step_rejected():
     tr = seq.tracks[0]
     presence = tr.presence.copy()
     presence[1] = False  # features left nonzero on purpose
-    from dataclasses import replace
-
-    bad = replace(seq, tracks=(replace(tr, presence=presence),))
     with pytest.raises(ValidationError):
-        validate_sequence(bad)
+        replace(seq, tracks=(replace(tr, presence=presence),))
 
 
 # -- deformation -------------------------------------------------------------
@@ -292,9 +330,9 @@ def test_slice_reindexes_temporal_edges():
     seq = chain_sequence(T=6, span=2)
     window = slice_sequence(seq, 2, 3)
     assert window.num_steps == 3
-    assert all(0 <= ti and tj < 3 for _, ti, _, tj, _ in window.temporal_edges)
+    assert np.all(window.temporal_edges[:, 1] >= 0) and np.all(window.temporal_edges[:, 3] < 3)
     # edge (t=2 -> t=3) of the original becomes (0 -> 1)
-    assert (0, 0, 0, 1, 1.0) in window.temporal_edges
+    assert [0, 0, 0, 1, 1.0] in window.temporal_edges.tolist()
     validate_sequence(window)
 
 
@@ -326,14 +364,47 @@ def test_stgs_roundtrip_single(tmp_path):
     back = load_stgs(str(tmp_path / "seq"))
     assert back.num_steps == seq.num_steps and back.mode == seq.mode
     assert back.clusters == seq.clusters
-    assert back.spatial_edges == seq.spatial_edges
-    assert back.temporal_edges == seq.temporal_edges
+    assert np.array_equal(back.spatial_edges, seq.spatial_edges)
+    assert np.array_equal(back.temporal_edges, seq.temporal_edges)
     assert np.array_equal(back.labels, seq.labels)
     assert np.array_equal(back.label_mask, seq.label_mask)
     for ta, tb in zip(seq.tracks, back.tracks):
         assert ta.track_id == tb.track_id and ta.cluster_id == tb.cluster_id
         assert np.array_equal(ta.features, tb.features)
         assert np.array_equal(ta.presence, tb.presence)
+
+
+def deformed_two_cluster():
+    """Two clusters of two tracks, span 2, single-step drops: edges across gaps and clusters."""
+    cfg = SynthConfig(
+        num_classes=3, cluster_feature_lens=(3, 4), tracks_per_cluster=2, t_range=(12, 12),
+        temporal_span=2,
+    )
+    seq, _ = synth_generate(cfg, 4)
+    return apply_deformation(
+        seq, sample_drop_schedule(seq, 0.2, np.random.default_rng(1), burst=1)
+    )
+
+
+def assert_matches_stgs_fixture(directory):
+    names = sorted(p.name for p in STGS_FIXTURE.iterdir())
+    assert sorted(p.name for p in directory.iterdir()) == names
+    for name in names:
+        assert (directory / name).read_bytes() == (STGS_FIXTURE / name).read_bytes(), name
+
+
+def test_synth_reproduces_stgs_fixture(tmp_path):
+    seq = deformed_two_cluster()
+    # the fixture exercises what the edge arrays must carry through
+    gaps = seq.temporal_edges[:, 3] - seq.temporal_edges[:, 1]
+    assert (gaps == 2).any() and not all(tr.presence.all() for tr in seq.tracks)
+    save_stgs(seq, str(tmp_path / "seq"))
+    assert_matches_stgs_fixture(tmp_path / "seq")
+
+
+def test_stgs_fixture_resaves_identically(tmp_path):
+    save_stgs(load_stgs(str(STGS_FIXTURE)), str(tmp_path / "seq"))
+    assert_matches_stgs_fixture(tmp_path / "seq")
 
 
 def test_stgs_roundtrip_multi(tmp_path):

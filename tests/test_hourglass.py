@@ -109,9 +109,9 @@ def random_edges(seq, rng, span):
     """Random-weight spatial edges; temporal edges between any tracks, gaps up to span + 2."""
     N, T = seq.num_tracks, seq.num_steps
     spatial = tuple(
-        tuple((int(i), int(j), float(rng.uniform(0.1, 1.0)))
-              for i, j in rng.integers(0, N, (3, 2)))
-        for _ in range(T)
+        (t, int(i), int(j), float(rng.uniform(0.1, 1.0)))
+        for t in range(T)
+        for i, j in rng.integers(0, N, (3, 2))
     )
     temporal = []
     for _ in range(4 * N * T):

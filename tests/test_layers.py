@@ -219,7 +219,7 @@ def make_sequence(tracks_spec, T=2, num_classes=2):
         num_steps=T, num_classes=num_classes, mode="single",
         clusters=tuple(FeatureCluster(c, l) for c, l in sorted(lens.items())),
         tracks=tuple(tracks),
-        spatial_edges=tuple(() for _ in range(T)),
+        spatial_edges=(),
         temporal_edges=(),
         labels=np.zeros(T, dtype=np.int64),
         label_mask=np.ones(T, dtype=bool),
