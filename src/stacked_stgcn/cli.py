@@ -11,31 +11,45 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DimensionError,
-    NumericalError,
-    ValidationError,
-)
+from .config import DictCodec, atomic_write, read_json
+from .errors import ContractError, DimensionError, NumericalError, ValidationError
 from .evaluate import evaluate_multi, evaluate_single, sliding_infer
 from .graph import StgSequence, load_stgs, save_stgs
 from .ingest import ingest_cad120_file
 from .gradcheck import check_model_gradients
 from .model import ModelConfig, StgcnModel
 from .synth import SynthConfig, generate_dataset, synth_generate
-from .training import TrainConfig, atomic_write, load_checkpoint, train
+from .training import TrainConfig, load_checkpoint, train
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # malformed JSON, or bytes that are not text
-            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+@dataclass(frozen=True)
+class _DatasetEntry(DictCodec):
+    path: str
+    split: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class _DatasetManifest(DictCodec):
+    sequences: Tuple[_DatasetEntry, ...]
+    root: str = "."
+
+
+@dataclass(frozen=True)
+class _SynthRun(DictCodec):
+    synth: SynthConfig
+    train_count: int = 20
+    test_count: int = 0
+
+    def __post_init__(self):
+        if min(self.train_count, self.test_count) < 0:
+            raise ValidationError("train_count and test_count must be >= 0")
+
+
+def _read(record, path: str, kind: str):
+    return record.from_dict(read_json(path), f"{kind} {path}")
 
 
 def _refuse_overwrite(path: str, force: bool) -> None:
@@ -48,45 +62,33 @@ def _refuse_overwrite(path: str, force: bool) -> None:
 
 
 def _load_manifest(path: str, split: Optional[str]) -> List[Tuple[str, StgSequence]]:
-    manifest = _load_json(path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("sequences"), list):
-        raise ValidationError(f"dataset manifest {path}: needs a 'sequences' array")
-    root = manifest.get("root", ".")
-    if not isinstance(root, str):
-        raise ValidationError(f"dataset manifest {path}: 'root' must be a string")
-    root = os.path.join(os.path.dirname(path), root)
-    out = []
-    for entry in manifest["sequences"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-            raise ValidationError(f"dataset manifest {path}: each sequence needs a 'path' string")
-        if split is not None and entry.get("split") != split:
-            continue
-        seq_path = os.path.join(root, entry["path"])
-        out.append((entry["path"], load_stgs(seq_path)))
+    manifest = _read(_DatasetManifest, path, "dataset manifest")
+    root = os.path.join(os.path.dirname(path), manifest.root)
+    out = [
+        (entry.path, load_stgs(os.path.join(root, entry.path)))
+        for entry in manifest.sequences
+        if split is None or entry.split == split
+    ]
     if not out:
         raise ValidationError(f"no sequences for split {split!r} in {path}")
     return out
 
 
 def cmd_synth(args) -> int:
-    cfg_doc = _load_json(args.config)
-    cfg = SynthConfig.from_dict(cfg_doc.get("synth", cfg_doc))
-    train_count = int(cfg_doc.get("train_count", cfg_doc.get("count", 20)))
-    test_count = int(cfg_doc.get("test_count", 0))
+    run = _read(_SynthRun, args.config, "synth config")
     _refuse_overwrite(args.out, args.force)
     os.makedirs(args.out, exist_ok=True)
-    seqs, oracle = generate_dataset(cfg, args.seed, train_count + test_count)
+    seqs, oracle = generate_dataset(run.synth, args.seed, run.train_count + run.test_count)
     entries = []
     for i, seq in enumerate(seqs):
         name = f"seq_{i:04d}"
         save_stgs(seq, os.path.join(args.out, name))
-        entries.append(
-            {"path": name, "split": "train" if i < train_count else "test"}
-        )
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump({"root": ".", "sequences": entries}, fh, indent=1, sort_keys=True)
+        entries.append(_DatasetEntry(name, "train" if i < run.train_count else "test"))
+    manifest = _DatasetManifest(sequences=tuple(entries))
+    with atomic_write(os.path.join(args.out, "manifest.json")) as fh:
+        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
     means = [[m.tolist() for m in row] for row in oracle["means"]]
-    with open(os.path.join(args.out, "oracle.json"), "w") as fh:
+    with atomic_write(os.path.join(args.out, "oracle.json")) as fh:
         json.dump(dict(oracle, means=means), fh, sort_keys=True)
     print(f"wrote {len(seqs)} sequences to {args.out}")
     return 0
@@ -101,8 +103,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg = ModelConfig.from_dict(_load_json(args.model_config))
-    train_cfg = replace(TrainConfig.from_dict(_load_json(args.train_config)), seed=args.seed)
+    model_cfg = _read(ModelConfig, args.model_config, "model config")
+    train_cfg = replace(_read(TrainConfig, args.train_config, "train config"), seed=args.seed)
     data = [seq for _, seq in _load_manifest(args.manifest, "train")]
     os.makedirs(args.out, exist_ok=True)
     model, curve = train(data, model_cfg, train_cfg, out_dir=args.out)
@@ -153,7 +155,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.model_config:
-        model_cfg = ModelConfig.from_dict(_load_json(args.model_config))
+        model_cfg = _read(ModelConfig, args.model_config, "model config")
         synth_cfg = SynthConfig(
             num_classes=model_cfg.num_classes,
             cluster_feature_lens=model_cfg.cluster_feature_lens,
@@ -249,9 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValidationError, ConfigurationError, ContractError, DimensionError, FileNotFoundError
-    ) as exc:
+    except (ValidationError, ContractError, DimensionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

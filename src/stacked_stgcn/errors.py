@@ -17,8 +17,8 @@ class ValidationError(StgcnError):
     """Input data violates a documented invariant."""
 
 
-class ConfigurationError(StgcnError):
-    """Model or run configuration is inconsistent."""
+class ConfigurationError(ValidationError):
+    """Model or run configuration is inconsistent, or a JSON document is malformed."""
 
 
 class ContractError(StgcnError):

@@ -9,7 +9,7 @@ weights at each timestep sum to one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,14 +128,20 @@ def label_segments(labels: np.ndarray) -> List[Tuple[int, int, int]]:
 
 
 def segment_predictions(
-    frame_pred: np.ndarray, labels: np.ndarray
+    frame_pred: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> Tuple[List[int], List[int]]:
-    """Majority-vote frame predictions within each ground-truth segment."""
+    """Majority-vote frame predictions within each ground-truth segment.
+
+    Segments are runs of ``labels`` over the whole timeline; only the steps
+    ``mask`` keeps vote, and a segment with none of them is dropped.
+    """
+    keep = np.ones(len(labels), dtype=bool) if mask is None else mask
     preds, truths = [], []
     for start, end, label in label_segments(labels):
-        votes = np.bincount(frame_pred[start:end])
-        preds.append(int(votes.argmax()))
-        truths.append(label)
+        votes = frame_pred[start:end][keep[start:end]]
+        if votes.size:
+            preds.append(int(np.bincount(votes).argmax()))
+            truths.append(label)
     return preds, truths
 
 
@@ -158,7 +164,7 @@ def evaluate_single(
             preds.extend(frame_pred[mask].tolist())
             truths.extend(seq.labels[mask].tolist())
         else:
-            p, t = segment_predictions(frame_pred[mask], seq.labels[mask])
+            p, t = segment_predictions(frame_pred, seq.labels, mask)
             preds.extend(p)
             truths.extend(t)
     per_class = _per_class_prf(np.asarray(preds), np.asarray(truths), num_classes)

@@ -23,6 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import blocks
+from .config import DictCodec, atomic_write, json_array, read_json
 from .errors import ValidationError
 from .tensor import DTYPE, dump_tensor, load_tensor
 
@@ -30,7 +31,7 @@ NODE_TYPES = ("actor", "object", "scene", "action", "other")
 
 
 @dataclass(frozen=True)
-class FeatureCluster:
+class FeatureCluster(DictCodec):
     cluster_id: int
     feature_len: int
 
@@ -315,106 +316,85 @@ def _json_rows(rows: np.ndarray) -> list:
     return out.tolist()
 
 
+@dataclass(frozen=True)
+class _TrackEntry(DictCodec):
+    track_id: str
+    node_type: str
+    cluster_id: int
+    presence: list
+    blob: str
+
+
+@dataclass(frozen=True)
+class _StgsManifest(DictCodec):
+    """``manifest.json`` of an STGS directory; the large arrays stay JSON lists."""
+
+    format: str
+    T: int
+    C: int
+    mode: str
+    clusters: Tuple[FeatureCluster, ...]
+    tracks: Tuple[_TrackEntry, ...]
+    spatial_edges: list  # per timestep, [i, j, w] rows
+    temporal_edges: list  # [i, t_i, j, t_j, w] rows
+    labels: list
+    label_mask: list
+
+
 def save_stgs(seq: StgSequence, directory: str) -> None:
+    """Write the track blobs, then the manifest, each through :func:`atomic_write`."""
     os.makedirs(directory, exist_ok=True)
-    spatial, t = seq.spatial_edges, seq.spatial_edges[:, 0]
-    manifest = {
-        "format": "stgs-1",
-        "T": seq.num_steps,
-        "C": seq.num_classes,
-        "mode": seq.mode,
-        "clusters": [
-            {"cluster_id": c.cluster_id, "feature_len": c.feature_len}
-            for c in seq.clusters
-        ],
-        "tracks": [
-            {
-                "track_id": tr.track_id,
-                "node_type": tr.node_type,
-                "cluster_id": tr.cluster_id,
-                "presence": [bool(p) for p in tr.presence],
-                "blob": f"track_{n}.bin",
-            }
-            for n, tr in enumerate(seq.tracks)
-        ],
-        "spatial_edges": [_json_rows(spatial[t == k, 1:]) for k in range(seq.num_steps)],
-        "temporal_edges": _json_rows(seq.temporal_edges),
-        "labels": seq.labels.tolist(),
-        "label_mask": [bool(m) for m in seq.label_mask],
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
     for n, tr in enumerate(seq.tracks):
-        with open(os.path.join(directory, f"track_{n}.bin"), "wb") as fh:
+        with atomic_write(os.path.join(directory, f"track_{n}.bin"), "wb") as fh:
             dump_tensor(fh, tr.features)
-
-
-_MANIFEST_KEYS = (  # T, C and mode, then the JSON arrays
-    "T", "C", "mode", "clusters", "tracks", "spatial_edges", "temporal_edges",
-    "labels", "label_mask",
-)
-_CLUSTER_KEYS = ("cluster_id", "feature_len")
-_TRACK_KEYS = ("track_id", "node_type", "cluster_id", "presence", "blob")
-
-
-def _require_keys(entries, keys, where: str) -> None:
-    """Raise ValidationError naming the first of ``keys`` some entry lacks."""
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: expected a JSON object, got {type(entry).__name__}")
-        for key in keys:
-            if key not in entry:
-                raise ValidationError(f"{where}: missing key {key!r}")
+    spatial, t = seq.spatial_edges, seq.spatial_edges[:, 0]
+    manifest = _StgsManifest(
+        format="stgs-1",
+        T=seq.num_steps,
+        C=seq.num_classes,
+        mode=seq.mode,
+        clusters=seq.clusters,
+        tracks=tuple(
+            _TrackEntry(tr.track_id, tr.node_type, tr.cluster_id,
+                        np.asarray(tr.presence, dtype=bool).tolist(), f"track_{n}.bin")
+            for n, tr in enumerate(seq.tracks)
+        ),
+        spatial_edges=[_json_rows(spatial[t == k, 1:]) for k in range(seq.num_steps)],
+        temporal_edges=_json_rows(seq.temporal_edges),
+        labels=seq.labels.tolist(),
+        label_mask=np.asarray(seq.label_mask, dtype=bool).tolist(),
+    )
+    with atomic_write(os.path.join(directory, "manifest.json")) as fh:
+        json.dump(manifest.to_dict(), fh, indent=1)
 
 
 def load_stgs(directory: str) -> StgSequence:
-    where = f"STGS manifest {directory}"
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        try:
-            m = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or bytes that are not text
-            raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
-    if not isinstance(m, dict) or m.get("format") != "stgs-1":
+    doc = read_json(os.path.join(directory, "manifest.json"))
+    if not isinstance(doc, dict) or doc.get("format") != "stgs-1":
         raise ValidationError(f"not an STGS manifest: {directory}")
-    _require_keys([m], _MANIFEST_KEYS, where)
-    for key in _MANIFEST_KEYS[3:]:
-        if not isinstance(m[key], list):
-            raise ValidationError(f"{where}: {key!r} must be a JSON array")
-    _require_keys(m["clusters"], _CLUSTER_KEYS, f"{where}, cluster")
-    _require_keys(m["tracks"], _TRACK_KEYS, f"{where}, track")
-    T, C, mode = m["T"], m["C"], m["mode"]
-    clusters = tuple(
-        FeatureCluster(c["cluster_id"], c["feature_len"]) for c in m["clusters"]
-    )
-    tracks = []
-    for entry in m["tracks"]:
-        blob = os.path.join(directory, entry["blob"])
-        with open(blob, "rb") as fh:
-            try:
-                features = load_tensor(fh)
-            except ValueError as exc:  # truncated header, extents or data
-                raise ValidationError(f"track blob {blob}: {exc}") from exc
-        tracks.append(
-            NodeTrack(
-                track_id=entry["track_id"],
-                node_type=entry["node_type"],
-                cluster_id=entry["cluster_id"],
-                features=features,
-                presence=np.asarray(entry["presence"], dtype=bool),
-            )
-        )
-    labels = np.asarray(m["labels"], dtype=np.int64 if mode == "single" else DTYPE)
+    where = f"STGS manifest {directory}"
+    m = _StgsManifest.from_dict(doc, where)
     try:
+        tracks = []
+        for k, entry in enumerate(m.tracks):
+            blob = os.path.join(directory, entry.blob)
+            try:
+                with open(blob, "rb") as fh:
+                    features = load_tensor(fh)
+            except (OSError, ValueError) as exc:  # missing, or truncated header, extents or data
+                raise ValidationError(f"track blob {blob}: {exc}") from exc
+            tracks.append(NodeTrack(entry.track_id, entry.node_type, entry.cluster_id, features,
+                                    json_array(entry.presence, bool, f"tracks[{k}].presence")))
         return StgSequence(
-            num_steps=T,
-            num_classes=C,
-            mode=mode,
-            clusters=clusters,
+            num_steps=m.T,
+            num_classes=m.C,
+            mode=m.mode,
+            clusters=m.clusters,
             tracks=tuple(tracks),
-            spatial_edges=spatial_edge_rows(m["spatial_edges"], T),
-            temporal_edges=m["temporal_edges"],
-            labels=labels,
-            label_mask=np.asarray(m["label_mask"], dtype=bool),
+            spatial_edges=spatial_edge_rows(m.spatial_edges, m.T),
+            temporal_edges=m.temporal_edges,
+            labels=json_array(m.labels, np.int64 if m.mode == "single" else DTYPE, "labels"),
+            label_mask=json_array(m.label_mask, bool, "label_mask"),
         )
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc

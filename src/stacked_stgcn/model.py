@@ -59,6 +59,10 @@ class ModelConfig(DictCodec):
     gcn_bias: bool = False
 
     def __post_init__(self):
+        if min(self.d_model, self.num_classes, *self.cluster_feature_lens) < 1:
+            raise ConfigurationError("d_model, num_classes and cluster_feature_lens must be >= 1")
+        if any(not 0 <= c < len(self.cluster_feature_lens) for _, c in self.node_type_clusters):
+            raise ConfigurationError("node_type_clusters names a cluster that does not exist")
         if self.span < 1:
             raise ConfigurationError("span must be >= 1")
         if self.harmonization not in ("projection", "per-cluster-gcn"):

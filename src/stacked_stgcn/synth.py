@@ -45,8 +45,8 @@ class SynthConfig(DictCodec):
 def _validate_config(cfg: SynthConfig) -> None:
     if cfg.num_classes < 2:
         raise ValidationError("need at least 2 classes")
-    if len(cfg.cluster_feature_lens) < 1:
-        raise ValidationError("need at least 1 feature cluster")
+    if min(cfg.cluster_feature_lens, default=0) < 1:
+        raise ValidationError("need at least 1 feature cluster, each of length >= 1")
     if cfg.tracks_per_cluster < 1:
         raise ValidationError("need at least 1 track per cluster")
     if cfg.t_range[0] < 1 or cfg.t_range[1] < cfg.t_range[0]:

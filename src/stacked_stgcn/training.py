@@ -11,13 +11,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DictCodec
+from .config import DictCodec, atomic_write
 from .errors import NumericalError, ValidationError
 from .graph import StgSequence, pad_sequence, slice_sequence
 from .model import ModelConfig, StgcnModel
@@ -40,7 +39,7 @@ class TrainConfig(DictCodec):
             raise ValidationError("lr0 must be positive")
         if not 0 < self.sched_drop <= 1:
             raise ValidationError("sched_drop must be in (0, 1]")
-        if self.sched_step < 1 or self.max_window < 1 or self.epochs < 1:
+        if min(self.sched_step, self.max_window, self.epochs) < 1 or self.seed < 0:
             raise ValidationError("bad training configuration")
 
 
@@ -234,31 +233,26 @@ def train(
 
 
 def write_curve(path: str, curve: Sequence[CurvePoint]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,split,loss,metric\n")
         for p in curve:
             fh.write(f"{p.epoch},{p.split},{p.loss!r},{p.metric!r}\n")
 
 
-@contextmanager
-def atomic_write(path: str, mode: str = "w") -> Iterator:
-    """Write through a temp file beside ``path`` that replaces it on success.
-
-    If the block raises, ``path`` keeps its old content (or stays absent)
-    and the temp file is removed.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format: length-prefixed JSON manifest + concatenated tensor blobs
+
+
+@dataclass(frozen=True)
+class CheckpointHeader(DictCodec):
+    """The JSON header; ``rng_state`` is written for information and never read back."""
+
+    format: str
+    model_config: ModelConfig
+    train_config: TrainConfig
+    epoch: int
+    keys: Tuple[str, ...]
+    rng_state: Optional[dict]
 
 
 def save_checkpoint(
@@ -269,16 +263,12 @@ def save_checkpoint(
     rng: Optional[np.random.Generator] = None,
 ) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    keys = sorted(model.params)
-    manifest = {
-        "format": "stgcn-checkpoint-1",
-        "model_config": model.cfg.to_dict(),
-        "train_config": train_cfg.to_dict(),
-        "epoch": epoch,
-        "keys": keys,
-        "rng_state": _rng_state_to_json(rng) if rng is not None else None,
-    }
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    keys = tuple(sorted(model.params))
+    header = CheckpointHeader(
+        "stgcn-checkpoint-1", model.cfg, train_cfg, epoch, keys,
+        _rng_state_to_json(rng) if rng is not None else None,
+    )
+    blob = json.dumps(header.to_dict(), sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -296,23 +286,21 @@ def load_checkpoint(path: str) -> Tuple[StgcnModel, TrainConfig, int, Optional[d
         if len(blob) != n:
             raise ValidationError(f"truncated checkpoint header: {path}")
         try:
-            manifest = json.loads(blob.decode("utf-8"))
+            doc = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or JSON
             raise ValidationError(f"corrupt checkpoint header: {path}: {exc}") from exc
-        if not isinstance(manifest, dict) or manifest.get("format") != "stgcn-checkpoint-1":
+        if not isinstance(doc, dict) or doc.get("format") != "stgcn-checkpoint-1":
             raise ValidationError(f"not a checkpoint file: {path}")
-        model_cfg = ModelConfig.from_dict(manifest["model_config"])
-        train_cfg = TrainConfig.from_dict(manifest["train_config"])
-        model = StgcnModel(model_cfg, seed=train_cfg.seed)
-        expected = sorted(model.params)
-        if manifest["keys"] != expected:
+        header = CheckpointHeader.from_dict(doc, f"checkpoint {path}")
+        model = StgcnModel(header.model_config, seed=header.train_config.seed)
+        if header.keys != tuple(sorted(model.params)):
             raise ValidationError("checkpoint keys do not match model configuration")
-        for key in manifest["keys"]:
+        for key in header.keys:
             try:
                 model.params[key] = load_tensor(fh)
             except ValueError as exc:
                 raise ValidationError(f"checkpoint {path}, tensor {key!r}: {exc}") from exc
-    return model, train_cfg, manifest["epoch"], manifest.get("rng_state")
+    return model, header.train_config, header.epoch, header.rng_state
 
 
 def _rng_state_to_json(rng: np.random.Generator) -> dict:

@@ -93,6 +93,29 @@ def test_synth_invalid_config(tmp_path):
     assert main(["synth", "--config", cfg, "--seed", "0", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ([1, 2], "expected a JSON object"),
+        (dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], num_classes="3")),
+         "synth.num_classes"),
+        (dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], t_range=30)), "synth.t_range"),
+        (dict(SYNTH_CONFIG, train_count="x"), "train_count"),
+        (dict(SYNTH_CONFIG, test_count=-1), "test_count"),
+        (SYNTH_CONFIG["synth"], "missing key 'synth'"),  # the flat form is not read
+    ],
+    ids=["array", "num-classes-string", "t-range-int", "train-count-string",
+         "test-count-negative", "flat"],
+)
+def test_synth_rejects_malformed_config(tmp_path, capsys, doc, key):
+    cfg = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "x"
+    assert main(["synth", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- ingest ------------------------------------------------------------------
 
 
@@ -150,6 +173,27 @@ def test_ingest_rejects_ragged_rows(tmp_path):
     }
     src = write_json(tmp_path / "table.json", table)
     assert main(["ingest", "--input", src, "--out", str(tmp_path / "seq")]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (dict(segments="abc", num_classes=2), "segments"),
+        (dict(segments=2, num_classes=2, actors=5), "actors"),
+        (dict(segments=2, num_classes=2, actors=[{"features": [[0.0], [0.0]]}],
+              labels=[0, "x"]), "labels"),
+        (dict(segments=2, num_classes=2, actors=[["x"]]), "actors[0]"),
+        ([1], "expected a JSON object"),
+    ],
+    ids=["segments-string", "actors-int", "label-string", "actor-array", "array"],
+)
+def test_ingest_rejects_malformed_table(tmp_path, capsys, doc, key):
+    src = write_json(tmp_path / "table.json", doc)
+    out = tmp_path / "seq"
+    assert main(["ingest", "--input", src, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "table.json" in err and key in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- train / infer / eval ----------------------------------------------------
@@ -321,6 +365,17 @@ def header_length(raw):
     return int.from_bytes(raw[:4], "little")
 
 
+def drop_header_key(key):
+    def cut(raw):
+        n = header_length(raw)
+        header = json.loads(raw[4:4 + n])
+        del header[key]
+        blob = json.dumps(header, sort_keys=True).encode()
+        return len(blob).to_bytes(4, "little") + blob + raw[4 + n:]
+
+    return cut
+
+
 @pytest.mark.parametrize(
     "cut",
     [
@@ -328,8 +383,11 @@ def header_length(raw):
         lambda raw: raw[: 4 + header_length(raw) + 6],   # inside the first tensor's extents
         lambda raw: raw[:-2],                            # inside the last tensor's data
         None,                                            # no checkpoint at all
+        drop_header_key("model_config"),
+        drop_header_key("keys"),
+        drop_header_key("epoch"),
     ],
-    ids=["header", "extent", "blob", "missing"],
+    ids=["header", "extent", "blob", "missing", "no-model-config", "no-keys", "no-epoch"],
 )
 def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, cut):
     manifest, ckpt, _ = multi_label_data(tmp_path)
@@ -403,11 +461,29 @@ def stgs_truncated_json(text):
     return '{"T": '
 
 
+def stgs_edit(edit):
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [stgs_clusters_not_array, stgs_temporal_edge_short, stgs_temporal_edge_fraction,
-     stgs_truncated_json],
-    ids=["clusters-int", "edge-3-values", "edge-fraction", "invalid-json"],
+     stgs_truncated_json,
+     stgs_edit(lambda doc: doc.update(T=float(doc["T"]))),
+     stgs_edit(lambda doc: doc.update(C=str(doc["C"]))),
+     stgs_edit(lambda doc: doc["tracks"][0].update(cluster_id=[0])),
+     stgs_edit(lambda doc: doc["tracks"][0].update(blob=3)),
+     stgs_edit(lambda doc: doc["clusters"][1].update(feature_len="4")),
+     stgs_edit(lambda doc: doc["labels"][0].append(1)),
+     stgs_edit(lambda doc: doc["tracks"][0].update(blob=""))],
+    ids=["clusters-int", "edge-3-values", "edge-fraction", "invalid-json", "T-float",
+         "C-string", "cluster-id-array", "blob-int", "feature-len-string", "labels-ragged",
+         "blob-directory"],
 )
 def test_eval_rejects_malformed_stgs_manifest(tmp_path, capsys, corrupt):
     manifest, ckpt, _ = multi_label_data(tmp_path)
@@ -432,6 +508,62 @@ def test_eval_rejects_dataset_manifest_without_sequences(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bare.json" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"sequences": 5}, "sequences"),
+        ({"sequences": [{"path": 3}]}, "sequences[0].path"),
+        ({"sequences": [{"path": "seq_0000"}], "root": 1}, "root"),
+    ],
+    ids=["sequences-int", "path-int", "root-int"],
+)
+def test_eval_rejects_malformed_dataset_manifest(tmp_path, capsys, doc, key):
+    _, ckpt, _ = multi_label_data(tmp_path)
+    manifest = write_json(tmp_path / "bad.json", doc)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", manifest, "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "which, change, key",
+    [
+        ("model", {"d_model": "abc"}, "d_model"),
+        ("model", {"levels": 1.5}, "levels"),
+        ("model", {"cluster_feature_lens": 5}, "cluster_feature_lens"),
+        ("model", {"skip": "no"}, "skip"),
+        ("model", {"d_model": -1}, "d_model"),
+        ("model", {"d_model": 0}, "d_model"),
+        ("model", {"num_classes": 0}, "num_classes"),
+        ("model", {"cluster_feature_lens": [3, -5]}, "cluster_feature_lens"),
+        ("train", {"epochs": "2"}, "epochs"),
+        ("train", {"max_window": 2.5}, "max_window"),
+    ],
+    ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
+         "d-model-zero", "num-classes-zero", "feature-len-negative", "epochs-string",
+         "max-window-float"],
+)
+def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
+    model_change, train_change = (change, {}) if which == "model" else ({}, change)
+    model_cfg = write_json(tmp_path / "model.json", dict(MODEL_CONFIG, **model_change))
+    train_cfg = write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, **train_change))
+    run = tmp_path / "run"
+    rc = main(
+        [
+            "train", "--manifest", str(dataset / "manifest.json"),
+            "--model-config", model_cfg, "--train-config", train_cfg,
+            "--seed", "0", "--out", str(run),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{which}.json" in err and key in err and "Traceback" not in err
+    assert not run.exists()
 
 
 def test_train_rejects_train_config_array(dataset, tmp_path):

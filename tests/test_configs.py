@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from stacked_stgcn.errors import ConfigurationError
+from stacked_stgcn.errors import ConfigurationError, ValidationError
+from stacked_stgcn.ingest import _Table
 from stacked_stgcn.model import ModelConfig
 from stacked_stgcn.synth import SynthConfig
-from stacked_stgcn.training import TrainConfig
+from stacked_stgcn.training import CheckpointHeader, TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -71,3 +72,40 @@ def test_codec_missing_required_key():
         ModelConfig.from_dict({"num_classes": 3})
     with pytest.raises(ConfigurationError):
         ModelConfig.from_dict([3, 4])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"d_model": True}, "d_model: expected int, got true"),
+        ({"d_model": 8.0}, "d_model: expected int, got 8.0"),
+        ({"skip": 1}, "skip: expected bool, got 1"),
+        ({"head_mode": None}, "head_mode: expected str, got null"),
+        ({"cluster_feature_lens": [3, "4"]}, "cluster_feature_lens[1]: expected int"),
+        ({"node_type_clusters": [["actor"]]}, "node_type_clusters[0]: expected 2 values"),
+        ({"d_model": 0}, "m.json: d_model, num_classes and cluster_feature_lens must be >= 1"),
+    ],
+    ids=["int-bool", "int-float", "bool-int", "str-null", "tuple-item", "pair-length", "range"],
+)
+def test_codec_checks_types_and_names_file_and_key(change, message):
+    doc = dict({"cluster_feature_lens": [3, 4], "num_classes": 2}, **change)
+    with pytest.raises(ConfigurationError) as info:
+        ModelConfig.from_dict(doc, "m.json")
+    assert message in str(info.value)
+    assert isinstance(info.value, ValidationError)
+
+
+def test_codec_float_takes_int_and_nested_records_round_trip():
+    assert TrainConfig.from_dict({"lr0": 1}).lr0 == 1
+    doc = {"format": "f", "model_config": {"cluster_feature_lens": [3], "num_classes": 2},
+           "train_config": {}, "epoch": 0, "keys": ["a"], "rng_state": None}
+    header = CheckpointHeader.from_dict(doc)
+    assert header.model_config == ModelConfig(cluster_feature_lens=(3,), num_classes=2)
+    assert header.keys == ("a",) and header.rng_state is None
+    assert CheckpointHeader.from_dict(header.to_dict()) == header
+
+
+def test_codec_passes_list_fields_through_uncopied():
+    labels = [0, 1]
+    table = _Table.from_dict({"segments": 2, "num_classes": 2, "labels": labels})
+    assert table.labels is labels and table.to_dict()["labels"] is labels

@@ -1,5 +1,7 @@
 """Sliding-window fusion, evaluation-point selection, F1 and mAP metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,30 @@ def test_label_segments_and_majority_vote():
     frame_pred = np.array([0, 0, 1, 1, 1])
     preds, truths = segment_predictions(frame_pred, labels)
     assert preds == [0, 1] and truths == [0, 1]
+
+
+class FixedModel:
+    """Stub scoring every step of a window by the one-hot of ``pred`` at that step."""
+
+    def __init__(self, pred, num_classes):
+        self.scores = np.eye(num_classes, dtype=np.float32)[pred]
+
+    def forward_scores(self, seq):
+        out = np.zeros((seq.num_steps, self.scores.shape[1]), dtype=np.float32)
+        out[: len(self.scores)] = self.scores[: seq.num_steps]
+        return out
+
+
+def test_segments_do_not_merge_across_masked_gap():
+    labels = np.array([0, 0, 1, 1, 0, 0])
+    mask = np.array([1, 1, 0, 0, 1, 1], dtype=bool)
+    frame_pred = np.array([0, 0, 1, 1, 1, 1])
+    assert segment_predictions(frame_pred, labels, mask) == ([0, 1], [0, 0])
+    seq = replace(sequence_of_length(6), labels=labels, label_mask=mask)
+    result = evaluate_single([seq], FixedModel(frame_pred, seq.num_classes))
+    # two class-0 segments, one predicted right: precision 1, recall 1/2
+    assert result["per_class"]["0"]["recall"] == 0.5
+    assert result["macro_f1"] == pytest.approx(2 / 3)
 
 
 def test_evaluate_single_echo_model_is_perfect():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stacked_stgcn import graph
 from stacked_stgcn.errors import ValidationError
 from stacked_stgcn.graph import (
     FeatureCluster,
@@ -414,6 +415,34 @@ def test_stgs_roundtrip_multi(tmp_path):
     back = load_stgs(str(tmp_path / "seq"))
     assert back.mode == "multi"
     assert np.array_equal(back.labels, seq.labels)
+
+
+def test_failed_stgs_save_leaves_each_file_old_or_new(tmp_path, monkeypatch):
+    old = deformed_two_cluster()
+    new = replace(old, tracks=tuple(replace(tr, features=tr.features * 2) for tr in old.tracks),
+                  labels=(old.labels + 1) % old.num_classes)
+    seq_dir, fresh = tmp_path / "seq", tmp_path / "fresh"
+    save_stgs(old, str(seq_dir))
+    save_stgs(new, str(fresh))
+    before = {p.name: p.read_bytes() for p in seq_dir.iterdir()}
+    after = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    written, dump = [], graph.dump_tensor
+
+    def failing_dump(fh, arr):
+        if len(written) == 1:
+            raise OSError("disk full")
+        written.append(arr)
+        dump(fh, arr)
+
+    monkeypatch.setattr(graph, "dump_tensor", failing_dump)
+    with pytest.raises(OSError):
+        save_stgs(new, str(seq_dir))
+    monkeypatch.undo()
+    assert sorted(p.name for p in seq_dir.iterdir()) == sorted(before)  # no *.tmp left
+    for name, data in before.items():
+        assert (seq_dir / name).read_bytes() in (data, after[name]), name
+    assert (seq_dir / "track_0.bin").read_bytes() == after["track_0.bin"]
+    assert (seq_dir / "manifest.json").read_bytes() == before["manifest.json"]
 
 
 def test_stgs_rejects_foreign_manifest(tmp_path):
