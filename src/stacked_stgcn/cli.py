@@ -61,6 +61,12 @@ def _refuse_overwrite(path: str, force: bool) -> None:
         raise ValidationError(f"output file {path!r} exists (use --force)")
 
 
+def _write_json(path: str, doc) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc))
+
+
 def _load_manifest(path: str, split: Optional[str]) -> List[Tuple[str, StgSequence]]:
     manifest = _read(_DatasetManifest, path, "dataset manifest")
     root = os.path.join(os.path.dirname(path), manifest.root)
@@ -125,8 +131,7 @@ def cmd_infer(args) -> int:
                 "coverage": timeline.coverage.tolist(),
             }
         )
-    with atomic_write(args.out) as fh:
-        json.dump({"sequences": result}, fh)
+    _write_json(args.out, {"sequences": result})
     print(f"wrote fused score timelines for {len(result)} sequences to {args.out}")
     return 0
 
@@ -146,8 +151,7 @@ def cmd_eval(args) -> int:
         metrics["sequences"] = [
             {"path": path, **details} for (path, _), details in zip(data, metrics["sequences"])
         ]
-    with atomic_write(args.out) as fh:
-        json.dump(metrics, fh)
+    _write_json(args.out, metrics)
     key = "macro_f1" if mode == "single" else "mAP"
     print(f"{key}: {metrics[key]:.4f} -> {args.out}")
     return 0
@@ -250,6 +254,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValidationError, ContractError, DimensionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

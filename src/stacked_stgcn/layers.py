@@ -50,11 +50,13 @@ class StgcnLayerParams:
     node-time rows it owns, and is needed only with more than one cluster.
     An empty ``w_s`` means the input rows are already projected (by
     :func:`harmonize_projection`). ``w_t`` is the temporal weight matrix
-    (d_model x d_out). ``bias`` is optional and off by default.
+    (d_model x d_out); ``None`` means the rows are already in the output
+    basis, as when inference folds a first layer's weights into the
+    harmonization kernels. ``bias`` is optional and off by default.
     """
 
     w_s: Dict[int, Tensor]
-    w_t: Tensor
+    w_t: Optional[Tensor]
     cluster_rows: Dict[int, np.ndarray] = field(default_factory=dict)
     bias: Optional[Tensor] = None
 
@@ -117,6 +119,10 @@ def _project_uniform(h: Tensor, params: StgcnLayerParams) -> Tensor:
     return spatial_project(inputs, total)
 
 
+def _temporal_weight(h: Tensor, params: StgcnLayerParams) -> Tensor:
+    return h if params.w_t is None else tn.matmul(h, params.w_t)
+
+
 def _constant(a) -> np.ndarray:
     if isinstance(a, Tensor):
         if a.tape is not None:
@@ -133,7 +139,7 @@ def stgcn_layer(h: Tensor, ns, nt, params: StgcnLayerParams) -> Tensor:
     Activation is ReLU after the temporal step only.
     """
     h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
-    out = tn.banded_matmul(_constant(nt), tn.matmul(h_s, params.w_t))
+    out = tn.banded_matmul(_constant(nt), _temporal_weight(h_s, params))
     if params.bias is not None:
         out = tn.add(out, params.bias)
     return tn.relu(out)
@@ -142,7 +148,7 @@ def stgcn_layer(h: Tensor, ns, nt, params: StgcnLayerParams) -> Tensor:
 def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
     """Degenerate form with fixed grid temporal connections: no temporal mixing."""
     h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
-    out = tn.matmul(h_s, params.w_t)
+    out = _temporal_weight(h_s, params)
     if params.bias is not None:
         out = tn.add(out, params.bias)
     return tn.relu(out)

@@ -1,9 +1,11 @@
 """Dense tensors (rank <= 3, float32) and a reverse-mode differentiation tape.
 
-Tensors are immutable value objects. Every arithmetic helper in this module
-works on plain values; when any input lives on a :class:`Tape`, the output is
-recorded there together with a backward rule, and :func:`backward` replays the
-rules in reverse to produce parameter gradients.
+Tensors are immutable value objects, checked for finite values when built.
+Every arithmetic helper in this module works on plain values; when any input
+lives on a :class:`Tape`, the output is recorded there together with a
+backward rule, and :func:`backward` replays the rules in reverse to produce
+parameter gradients. With no taped input an op records nothing and keeps no
+closure, which is how inference runs: the same ops on untaped tensors.
 
 Products (``matmul``, ``banded_matmul`` and the temporal conv/deconv) run
 in float32, the storage precision, forward and backward. Float64 is kept
@@ -136,7 +138,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
 
     Returns a map from parameter id to gradient array; parameters the loss
     does not depend on get exact zeros. A tape supports one backward pass
-    until reset.
+    until reset: the sweep pops each record, and drops each intermediate
+    adjoint once its producer has consumed it, so memory falls as it runs.
     """
     if loss.tape is not tape:
         raise ContractError("loss was not produced on this tape")
@@ -147,8 +150,12 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     tape._consumed = True
 
     grads: dict = {loss.tid: np.ones((), dtype=DTYPE)}
-    for out_id, input_ids, grad_fn in reversed(tape._records):
-        gout = grads.get(out_id)
+    records = tape._records
+    while records:
+        # newest first: every consumer of ``out_id`` has already added to its
+        # adjoint, and no later record reads it (outputs are never parameters)
+        out_id, input_ids, grad_fn = records.pop()
+        gout = grads.pop(out_id, None)
         if gout is None:
             continue
         contribs = grad_fn(gout)
@@ -220,12 +227,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    mask = x.data > 0  # ReLU'(0) = 0
 
     def grad_fn(gout):
-        return [np.where(mask, gout, 0).astype(DTYPE)]
+        return [gout * mask]
 
-    return record(np.where(mask, x.data, 0).astype(DTYPE), [x], grad_fn)
+    return record(np.maximum(x.data, 0), [x], grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -295,17 +302,26 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices: Iterable[int]) -> Tensor:
-    """Select rows of a rank-2 tensor by index; duplicates allowed."""
+    """Select rows of a rank-2 tensor by index; duplicates allowed.
+
+    The gradient scatters rows back by assignment when no index repeats (a
+    permutation, say), and accumulates with ``np.add.at`` otherwise; both
+    give the same sums, since without repeats no row is added twice.
+    """
     if x.data.ndim != 2:
         raise DimensionError("gather_rows expects a rank-2 tensor")
     idx = np.asarray(list(indices), dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError("row index out of range")
     shape = x.shape
+    repeats = idx.size > 0 and np.bincount(idx, minlength=shape[0]).max() > 1
 
     def grad_fn(gout):
         gx = np.zeros(shape, dtype=DTYPE)
-        np.add.at(gx, idx, gout)
+        if repeats:
+            np.add.at(gx, idx, gout)
+        else:
+            gx[idx] = gout
         return [gx]
 
     return record(x.data[idx], [x], grad_fn)

@@ -292,14 +292,16 @@ def load_checkpoint(path: str) -> Tuple[StgcnModel, TrainConfig, int, Optional[d
         if not isinstance(doc, dict) or doc.get("format") != "stgcn-checkpoint-1":
             raise ValidationError(f"not a checkpoint file: {path}")
         header = CheckpointHeader.from_dict(doc, f"checkpoint {path}")
-        model = StgcnModel(header.model_config, seed=header.train_config.seed)
-        if header.keys != tuple(sorted(model.params)):
-            raise ValidationError("checkpoint keys do not match model configuration")
+        params = {}
         for key in header.keys:
             try:
-                model.params[key] = load_tensor(fh)
+                params[key] = load_tensor(fh)
             except ValueError as exc:
                 raise ValidationError(f"checkpoint {path}, tensor {key!r}: {exc}") from exc
+    try:
+        model = StgcnModel.from_params(header.model_config, params)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from exc
     return model, header.train_config, header.epoch, header.rng_state
 
 

@@ -10,7 +10,7 @@ from stacked_stgcn.cli import main
 from stacked_stgcn.graph import load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, generate_dataset
-from stacked_stgcn.training import TrainConfig, save_checkpoint
+from stacked_stgcn.training import TrainConfig, load_checkpoint, save_checkpoint
 
 SYNTH_CONFIG = {
     "synth": {
@@ -240,6 +240,10 @@ def test_train_infer_eval_pipeline(dataset, tmp_path):
     metrics = json.loads(eval_out.read_text())
     assert 0.0 <= metrics["macro_f1"] <= 1.0
     assert metrics["per_class"]
+    model = load_checkpoint(str(ckpt))[0]
+    seqs = [seq for _, seq in cli._load_manifest(str(dataset / "manifest.json"), "test")]
+    expected = evaluate.evaluate_single(seqs, model, window=16, hop=4, per_frame=False)
+    assert eval_out.read_bytes() == json.dumps(expected).encode()
 
 
 def test_eval_mismatched_classes(dataset, tmp_path):
@@ -376,20 +380,31 @@ def drop_header_key(key):
     return cut
 
 
+def narrow_header_d_model(raw):
+    # the header says d_model 6 over tensors written with d_model 8
+    n = header_length(raw)
+    header = json.loads(raw[4:4 + n])
+    header["model_config"]["d_model"] = 6
+    blob = json.dumps(header, sort_keys=True).encode()
+    return len(blob).to_bytes(4, "little") + blob + raw[4 + n:]
+
+
 @pytest.mark.parametrize(
-    "cut",
+    "cut, key",
     [
-        lambda raw: raw[: 4 + header_length(raw) // 2],  # inside the JSON header
-        lambda raw: raw[: 4 + header_length(raw) + 6],   # inside the first tensor's extents
-        lambda raw: raw[:-2],                            # inside the last tensor's data
-        None,                                            # no checkpoint at all
-        drop_header_key("model_config"),
-        drop_header_key("keys"),
-        drop_header_key("epoch"),
+        (lambda raw: raw[: 4 + header_length(raw) // 2], None),  # inside the JSON header
+        (lambda raw: raw[: 4 + header_length(raw) + 6], None),   # inside the first tensor's extents
+        (lambda raw: raw[:-2], None),                            # inside the last tensor's data
+        (None, None),                                            # no checkpoint at all
+        (drop_header_key("model_config"), None),
+        (drop_header_key("keys"), None),
+        (drop_header_key("epoch"), None),
+        (narrow_header_d_model, "'block0/enc0/ws0'"),
     ],
-    ids=["header", "extent", "blob", "missing", "no-model-config", "no-keys", "no-epoch"],
+    ids=["header", "extent", "blob", "missing", "no-model-config", "no-keys", "no-epoch",
+         "d-model-mismatch"],
 )
-def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, cut):
+def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, capsys, cut, key):
     manifest, ckpt, _ = multi_label_data(tmp_path)
     bad = tmp_path / "bad.ckpt"
     if cut is not None:
@@ -397,6 +412,20 @@ def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, cut):
     out = tmp_path / "metrics.json"
     rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(bad), "--out", str(out)])
     assert rc == 2
+    assert not out.exists()
+    if key is not None:
+        err = capsys.readouterr().err
+        assert key in err and "shape" in err and "Traceback" not in err
+
+
+def test_eval_on_non_finite_checkpoint_exits_3(tmp_path, capsys):
+    manifest, ckpt, model = multi_label_data(tmp_path)
+    model.params["head/w"] = np.full_like(model.params["head/w"], np.inf)
+    save_checkpoint(str(ckpt), model, TrainConfig(mode="multi"), epoch=0)
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -541,12 +570,14 @@ def test_eval_rejects_malformed_dataset_manifest(tmp_path, capsys, doc, key):
         ("model", {"d_model": 0}, "d_model"),
         ("model", {"num_classes": 0}, "num_classes"),
         ("model", {"cluster_feature_lens": [3, -5]}, "cluster_feature_lens"),
+        ("model", {"harmonization": "projection",
+                   "node_type_clusters": [["actor", 0], ["actor", 1]]}, "node_type_clusters"),
         ("train", {"epochs": "2"}, "epochs"),
         ("train", {"max_window": 2.5}, "max_window"),
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
-         "d-model-zero", "num-classes-zero", "feature-len-negative", "epochs-string",
-         "max-window-float"],
+         "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
+         "epochs-string", "max-window-float"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
     model_change, train_change = (change, {}) if which == "model" else ({}, change)
@@ -595,6 +626,24 @@ def test_train_rejects_model_config_without_cluster_lens(dataset, tmp_path):
     )
     assert rc == 2
     assert not run.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
+    model_cfg = write_json(tmp_path / "model.json", MODEL_CONFIG)
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--config", write_json(tmp_path / "synth.json", SYNTH_CONFIG),
+                  "--out", str(out)],
+        "train": ["--manifest", str(dataset / "manifest.json"), "--model-config", model_cfg,
+                  "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
+                  "--out", str(out)],
+        "gradcheck": ["--model-config", model_cfg],
+    }[command]
+    assert main([command, "--seed", "-1", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # -- gradcheck ---------------------------------------------------------------

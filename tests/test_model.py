@@ -1,12 +1,19 @@
-"""Model assembly: parameter keys and the optional layer knobs."""
+"""Model assembly: parameter keys, the optional layer knobs, folded inference."""
+
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stacked_stgcn import tensor as tn
+from stacked_stgcn.errors import ValidationError
 from stacked_stgcn.gradcheck import check_model_gradients
-from stacked_stgcn.model import ModelConfig, StgcnModel
+from stacked_stgcn.model import ModelConfig, StgcnModel, parameter_table
 from stacked_stgcn.synth import SynthConfig, synth_generate
-from stacked_stgcn.tensor import DTYPE
+from stacked_stgcn.tensor import DTYPE, backward
+from stacked_stgcn.training import sequence_loss, sgd_step
 
 
 def tiny_config(**knobs):
@@ -47,3 +54,103 @@ def test_knob_parameters_and_gradients(knob, added):
     reports = check_model_gradients(model, seq, "single", seed=0)
     assert {r.name for r in reports} == set(model.params)
     assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+
+# -- inference on folded weights ---------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def preset(name, **knobs):
+    doc = json.loads((CONFIGS / f"{name}.model.json").read_text())
+    return ModelConfig.from_dict(dict(doc, d_model=16, **knobs))
+
+
+def sequence_for(cfg, seed=0):
+    synth = SynthConfig(
+        num_classes=cfg.num_classes, cluster_feature_lens=cfg.cluster_feature_lens,
+        tracks_per_cluster=2, t_range=(12, 12), temporal_span=cfg.span, mode=cfg.head_mode,
+    )
+    return synth_generate(synth, seed)[0]
+
+
+def with_nonzero_biases(model, seed=1):
+    rng = np.random.default_rng(seed)
+    for key, arr in model.params.items():
+        if key.endswith("/bias") or key == "head/b":
+            model.params[key] = rng.uniform(-0.1, 0.1, arr.shape).astype(DTYPE)
+    return model
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        preset("cad120"),
+        preset("charades_i3d"),
+        preset("charades_vgg"),
+        tiny_config(gcn_bias=True),
+        tiny_config(decoder_stgcn=True),
+        replace(tiny_config(), levels=0),
+        tiny_config(stack_depth=2),
+        tiny_config(center_input=False),
+        preset("charades_vgg", levels=0, gcn_bias=True, decoder_stgcn=True),
+    ],
+    ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "decoder_stgcn", "levels0",
+         "stack_depth2", "no_centering", "vgg_levels0_bias"],
+)
+def test_forward_scores_match_taped_forward(cfg):
+    model = with_nonzero_biases(StgcnModel(cfg, seed=0))
+    seq = sequence_for(cfg)
+    taped = model.forward_taped(seq)[2].data
+    scores = model.forward_scores(seq)
+    assert scores.shape == taped.shape
+    assert np.abs(scores - taped).max() <= 1e-6
+
+
+def test_folding_leaves_one_product_per_layer(monkeypatch):
+    cfg = preset("charades_vgg")  # 2 node types, 3 blocks of 3 layers, head
+    model = StgcnModel(cfg, seed=0)
+    seq = sequence_for(cfg)
+    shapes = []
+    original = tn.matmul
+
+    def counting(a, b):
+        shapes.append(b.shape)
+        return original(a, b)
+
+    monkeypatch.setattr(tn, "matmul", counting)
+    model.forward_taped(seq)
+    assert len(shapes) == 2 + 9 * 2 + 1
+    shapes.clear()
+    model.forward_scores(seq)
+    assert len(shapes) == 2 + 8 + 1
+
+
+def test_folded_view_is_rebuilt_when_parameters_are_replaced():
+    cfg = tiny_config()
+    model = StgcnModel(cfg, seed=0)
+    seq = sequence_for(cfg)
+    before = model.forward_scores(seq)
+    view = model._inference_params()
+    assert model._inference_params() is view  # built once per parameter state
+    assert all(t.tape is None for t in view.values())
+    tape, taped, scores = model.forward_taped(seq)
+    grads = backward(tape, sequence_loss(scores, seq, "single"))
+    sgd_step(model.params, {k: grads[t.tid] for k, t in taped.items()}, lr=0.5)
+    after_step = model.forward_scores(seq)
+    assert not np.array_equal(after_step, before)
+    assert np.abs(after_step - model.forward_taped(seq)[2].data).max() <= 1e-6
+    model.params["head/b"] = model.params["head/b"] + DTYPE(1)
+    assert np.abs(model.forward_scores(seq) - after_step - 1.0).max() <= 1e-6
+
+
+def test_from_params_checks_the_parameter_table():
+    cfg = tiny_config()
+    params = StgcnModel(cfg, seed=0).params
+    model = StgcnModel.from_params(cfg, params)
+    assert all(model.params[k] is params[k] for k in params)
+    assert list(model.params) == list(parameter_table(cfg))
+    with pytest.raises(ValidationError, match="block0/enc0/wt"):
+        StgcnModel.from_params(cfg, dict(params, **{"block0/enc0/wt": np.zeros((4, 5), DTYPE)}))
+    with pytest.raises(ValidationError, match="head/b"):
+        StgcnModel.from_params(cfg, {k: v for k, v in params.items() if k != "head/b"})

@@ -61,6 +61,36 @@ def test_relu_gradient_routing():
     assert np.array_equal(g, [0.0, 1.0])
 
 
+def test_relu_gradient_is_zero_at_zero():
+    tape = Tape()
+    x = tape.watch(np.array([0.0, -0.0, 1e-30], dtype=np.float32))
+    g = backward(tape, tn.sum_all(tn.relu(x)))[x.tid]
+    assert np.array_equal(g, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "idx", [[3, 0, 4, 1, 2], [4, 2], [1, 1, 3, 1, 0, 4, 4]], ids=["permutation", "subset", "repeats"]
+)
+def test_gather_rows_gradient_equals_accumulated_scatter(rng, idx):
+    x = rng.uniform(-1, 1, (5, 3)).astype(np.float32)
+    gout = rng.uniform(-1, 1, (len(idx), 3)).astype(np.float32)
+    tape = Tape()
+    tn.gather_rows(tape.watch(x), idx)
+    (_, _, grad_fn), = tape._records
+    (gx,) = grad_fn(gout)
+    expected = np.zeros_like(x)
+    np.add.at(expected, np.asarray(idx), gout)
+    assert gx.dtype == np.float32 and np.array_equal(gx, expected)
+
+
+def test_backward_releases_records_as_it_sweeps(rng):
+    tape = Tape()
+    w = tape.watch(rng.uniform(-1, 1, (3, 3)).astype(np.float32))
+    h = tn.relu(tn.matmul(w, w))
+    backward(tape, tn.sum_all(tn.matmul(h, w)))
+    assert tape._records == []
+
+
 def test_conv_identity_kernel():
     x = np.arange(8, dtype=np.float32).reshape(4, 2)
     kernel = np.eye(2, dtype=np.float32).reshape(1, 2, 2)
