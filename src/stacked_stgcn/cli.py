@@ -112,6 +112,7 @@ def cmd_train(args) -> int:
     model_cfg = _read(ModelConfig, args.model_config, "model config")
     train_cfg = replace(_read(TrainConfig, args.train_config, "train config"), seed=args.seed)
     data = [seq for _, seq in _load_manifest(args.manifest, "train")]
+    _refuse_overwrite(args.out, args.force)
     os.makedirs(args.out, exist_ok=True)
     model, curve = train(data, model_cfg, train_cfg, out_dir=args.out)
     print(f"trained {train_cfg.epochs} epochs; final loss {curve[-1].loss:.6f}")
@@ -185,9 +186,10 @@ def cmd_gradcheck(args) -> int:
     failed = [r for r in reports if not r.passed]
     for r in reports:
         status = "ok" if r.passed else "FAIL"
+        kinks = f", {r.kinked} skipped across a ReLU kink" if r.kinked else ""
         print(
             f"{status:4s} {r.name}: {r.rel_ok}/{r.checked} within relative tolerance, "
-            f"max abs err {r.max_abs_err:.2e}"
+            f"max abs err {r.max_abs_err:.2e}{kinks}"
         )
     if failed:
         raise NumericalError(f"{len(failed)} parameter(s) failed the gradient check")
@@ -221,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-config", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="sliding-window inference")

@@ -158,14 +158,33 @@ def fold_parameters(cfg: ModelConfig, params: Dict[str, np.ndarray]) -> Dict[str
     return out
 
 
+class ParameterStore(dict):
+    """Parameter path -> writable float32 array; each item assignment bumps ``version``.
+
+    Read-only or non-float32 arrays are stored as float32 copies, others as
+    they are. Other dict mutators (``update``, ``pop``, ...) are not counted.
+    """
+
+    def __init__(self, arrays: Dict[str, np.ndarray]):
+        super().__init__()
+        self.version = 0
+        for path, arr in arrays.items():
+            self[path] = arr
+
+    def __setitem__(self, path: str, arr) -> None:
+        arr = np.asarray(arr)
+        if arr.dtype != DTYPE or not arr.flags.writeable:
+            arr = np.array(arr, dtype=DTYPE)
+        super().__setitem__(path, arr)
+        self.version += 1
+
+
 class StgcnModel:
-    """Parameter container plus the forward pass over one sequence.
+    """A :class:`ParameterStore` plus the forward pass over one sequence.
 
     ``forward_taped`` runs it on taped parameters, for training.
     ``forward_scores`` runs the same forward on the untaped
-    :func:`fold_parameters` set, built once per parameter state: it is
-    rebuilt when an array in ``params`` is replaced (``sgd_step``, or
-    ``params[key] = ...``), but not after an in-place edit of one.
+    :func:`fold_parameters` set, built once per store version.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -196,9 +215,8 @@ class StgcnModel:
 
     def _set(self, cfg: ModelConfig, params: Dict[str, np.ndarray]) -> None:
         self.cfg = cfg
-        self.params = params
-        self._folded: Optional[Dict[str, Tensor]] = None
-        self._folded_from: Dict[str, np.ndarray] = {}
+        self.params = ParameterStore(params)
+        self._folded: Tuple[Optional[ParameterStore], int, Dict[str, Tensor]] = (None, 0, {})
 
     # -- forward -----------------------------------------------------------
 
@@ -273,16 +291,14 @@ class StgcnModel:
         return tape, taped, self._forward(seq, taped, levels)
 
     def _inference_params(self) -> Dict[str, Tensor]:
-        """The folded parameters as untaped tensors, rebuilt if an array was replaced."""
-        source = self._folded_from
-        if self._folded is None or source.keys() != self.params.keys() or any(
-            self.params[path] is not arr for path, arr in source.items()
-        ):
-            self._folded = None  # free the stale view before folding anew
+        """The folded parameters as untaped tensors, rebuilt when the store's version moves."""
+        store, version, _ = self._folded
+        if store is not self.params or version != self.params.version:
+            self._folded = (None, 0, {})  # free the stale view before folding anew
             folded = fold_parameters(self.cfg, self.params)
-            self._folded = {path: Tensor(arr) for path, arr in folded.items()}
-            self._folded_from = dict(self.params)
-        return self._folded
+            view = {path: Tensor(arr) for path, arr in folded.items()}
+            self._folded = (self.params, self.params.version, view)
+        return self._folded[2]
 
     def forward_scores(self, seq: StgSequence) -> np.ndarray:
         """Per-timestep class scores (T x C) as a plain array, without a tape."""

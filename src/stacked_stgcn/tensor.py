@@ -16,6 +16,8 @@ the losses.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO, Callable, Iterable, Optional, Sequence
 
@@ -98,10 +100,18 @@ class Tape:
         return tid
 
     def watch(self, data) -> Tensor:
-        """Register ``data`` as a trainable parameter and return its tensor."""
+        """Register ``data`` as a trainable parameter and return its tensor.
+
+        A float32 ``data`` is not copied: the tensor is a read-only view of it,
+        so an in-place update of ``data`` (``sgd_step``) shows through.
+        """
         t = Tensor(data, tape=self, tid=self._fresh_id())
         self._param_ids[t.tid] = t.data.shape
         return t
+
+    def relu_masks(self) -> list:
+        """The masks (input > 0) of the ReLUs recorded and not yet replayed, oldest first."""
+        return [fn.relu_mask for _, _, fn in self._records if hasattr(fn, "relu_mask")]
 
     def reset(self) -> None:
         """Clear all records, parameters and the consumed flag."""
@@ -232,6 +242,7 @@ def relu(x: Tensor) -> Tensor:
     def grad_fn(gout):
         return [gout * mask]
 
+    grad_fn.relu_mask = mask  # read by Tape.relu_masks
     return record(np.maximum(x.data, 0), [x], grad_fn)
 
 
@@ -449,14 +460,14 @@ def deconv1d_temporal(
 
 
 def dump_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=DTYPE)
-    fh.write(struct.pack("<I", arr.ndim))
-    for ext in arr.shape:
-        fh.write(struct.pack("<I", ext))
-    fh.write(arr.astype("<f4").tobytes(order="C"))
+    """Write rank, extents (u32 each) and the little-endian float32 data, without copies."""
+    data = np.require(arr, "<f4", "C")
+    fh.write(struct.pack(f"<{1 + data.ndim}I", data.ndim, *data.shape))
+    fh.write(memoryview(data))
 
 
 def load_tensor(fh: BinaryIO) -> np.ndarray:
+    """Read one :func:`dump_tensor` record; ``ValueError`` if the file is too short for it."""
     raw = fh.read(4)
     if len(raw) != 4:
         raise ValueError("truncated tensor header")
@@ -467,8 +478,11 @@ def load_tensor(fh: BinaryIO) -> np.ndarray:
     if len(raw) != 4 * rank:
         raise ValueError("truncated tensor extents")
     shape = struct.unpack(f"<{rank}I", raw)
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise ValueError("truncated tensor data")
+    nbytes = 4 * math.prod(shape)
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if nbytes > left:
+        raise ValueError(f"truncated tensor data: extents {shape} need {nbytes} bytes, {left} left")
+    raw = fh.read(nbytes)
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(DTYPE)

@@ -130,7 +130,8 @@ def sgd_step(
             v *= DTYPE(momentum)
             v += g
             g = v
-        params[key] = (p - DTYPE(lr) * g).astype(DTYPE)
+        p -= DTYPE(lr) * g
+        params[key] = p  # the same array: bumps a ParameterStore's version
 
 
 def train_window_sample(

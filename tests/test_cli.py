@@ -441,6 +441,30 @@ def test_eval_rejects_truncated_track_blob(tmp_path):
     assert not out.exists()
 
 
+def huge_first_extent(raw, offset):
+    # the first tensor's first extent becomes 0xffffffff: ~16 GB per unit of the others
+    return raw[:offset] + (0xFFFFFFFF).to_bytes(4, "little") + raw[offset + 4:]
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "track"])
+def test_eval_rejects_tensor_extent_beyond_the_file(tmp_path, capsys, target):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    if target == "checkpoint":
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(huge_first_extent(raw, 4 + header_length(raw) + 4))
+    else:
+        entries = json.loads(manifest.read_text())["sequences"]
+        seq_dir = manifest.parent / next(e["path"] for e in entries if e["split"] == "test")
+        blob = seq_dir / "track_0.bin"
+        blob.write_bytes(huge_first_extent(blob.read_bytes(), 4))
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "truncated tensor data" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def drop_manifest_key(manifest):
     del manifest["T"]
 
@@ -628,6 +652,23 @@ def test_train_rejects_model_config_without_cluster_lens(dataset, tmp_path):
     assert not run.exists()
 
 
+def test_train_refuses_to_overwrite(dataset, tmp_path, capsys):
+    argv = [
+        "train", "--manifest", str(dataset / "manifest.json"),
+        "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+        "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
+        "--seed", "0", "--out", str(tmp_path / "run"),
+    ]
+    assert main(argv) == 0
+    written = {p: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert main([*argv[:-2], "--seed", "1", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "--force" in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} == written
+    assert main([*argv[:-2], "--seed", "1", "--out", str(tmp_path / "run"), "--force"]) == 0
+    assert {p: p.read_bytes() for p in (tmp_path / "run").iterdir()} != written
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
 def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
     model_cfg = write_json(tmp_path / "model.json", MODEL_CONFIG)
@@ -653,3 +694,14 @@ def test_gradcheck_default_model_passes(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "all" in out and "passed" in out
+
+
+def test_gradcheck_skips_coordinates_across_a_relu_kink(tmp_path, capsys):
+    # at zero biases one bottleneck pre-activation sits 2.4e-5 from the ReLU
+    # kink, and the 1e-3 step on a bias coordinate crosses it
+    doc = dict(cluster_feature_lens=[3, 4], num_classes=3, d_model=4, levels=1, span=2,
+               gcn_bias=True)
+    argv = ["gradcheck", "--seed", "0", "--model-config", write_json(tmp_path / "m.json", doc)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "block0/bottleneck/bias" in out and "skipped across a ReLU kink" in out

@@ -13,7 +13,13 @@ from stacked_stgcn.gradcheck import check_model_gradients
 from stacked_stgcn.model import ModelConfig, StgcnModel, parameter_table
 from stacked_stgcn.synth import SynthConfig, synth_generate
 from stacked_stgcn.tensor import DTYPE, backward
-from stacked_stgcn.training import sequence_loss, sgd_step
+from stacked_stgcn.training import (
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+    sequence_loss,
+    sgd_step,
+)
 
 
 def tiny_config(**knobs):
@@ -142,6 +148,57 @@ def test_folded_view_is_rebuilt_when_parameters_are_replaced():
     assert np.abs(after_step - model.forward_taped(seq)[2].data).max() <= 1e-6
     model.params["head/b"] = model.params["head/b"] + DTYPE(1)
     assert np.abs(model.forward_scores(seq) - after_step - 1.0).max() <= 1e-6
+
+
+def test_folded_view_follows_the_store_version(tmp_path):
+    cfg = tiny_config(gcn_bias=True)
+    model = with_nonzero_biases(StgcnModel(cfg, seed=0))
+    seq = sequence_for(cfg)
+
+    def folded_matches_taped():
+        folded = model.forward_scores(seq)
+        assert np.abs(folded - model.forward_taped(seq)[2].data).max() <= 1e-6
+        return folded
+
+    before = folded_matches_taped()
+    arrays = dict(model.params)
+    version = model.params.version
+    tape, taped, scores = model.forward_taped(seq)
+    grads = backward(tape, sequence_loss(scores, seq, "single"))
+    sgd_step(model.params, {k: grads[t.tid] for k, t in taped.items()}, lr=0.5)
+    assert all(model.params[k] is arr for k, arr in arrays.items())  # updated in place
+    assert model.params.version == version + len(arrays)
+    after_step = folded_matches_taped()
+    assert not np.array_equal(after_step, before)
+
+    view = model._inference_params()
+    model.params["block0/enc0/wt"][0, 0] += DTYPE(1)  # an element edit keeps the view
+    assert model._inference_params() is view
+    model.params["block0/enc0/wt"] = model.params["block0/enc0/wt"]  # assignment rebuilds it
+    assert model._inference_params() is not view
+    after_assign = folded_matches_taped()
+    assert not np.array_equal(after_assign, after_step)
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), model, TrainConfig(), epoch=0)
+    loaded = load_checkpoint(str(path))[0]
+    assert np.array_equal(loaded.forward_scores(seq), after_assign)
+    model = loaded
+    folded_matches_taped()
+
+
+def test_from_params_stores_writable_float32_arrays():
+    cfg = tiny_config()
+    params = dict(StgcnModel(cfg, seed=0).params)
+    frozen = params["head/w"].copy()
+    frozen.setflags(write=False)
+    wide = params["head/b"].astype(np.float64)
+    model = StgcnModel.from_params(cfg, dict(params, **{"head/w": frozen, "head/b": wide}))
+    for key, source in (("head/w", frozen), ("head/b", wide)):
+        stored = model.params[key]
+        assert stored is not source and stored.dtype == DTYPE and stored.flags.writeable
+        assert np.array_equal(stored, source)
+    assert all(model.params[k] is params[k] for k in params if k not in ("head/w", "head/b"))
 
 
 def test_from_params_checks_the_parameter_table():

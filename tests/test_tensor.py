@@ -400,3 +400,21 @@ def test_tensor_roundtrip_property(shape, seed):
 def test_load_truncated_header():
     with pytest.raises(ValueError):
         load_tensor(io.BytesIO(b"\x01"))
+
+
+def test_load_rejects_extents_beyond_the_file():
+    buf = io.BytesIO()
+    dump_tensor(buf, np.zeros((2, 3), dtype=np.float32))
+    raw = bytearray(buf.getvalue())
+    raw[4:8] = (0xFFFFFFFF).to_bytes(4, "little")  # 4 * 0xffffffff * 3 bytes of data
+    with pytest.raises(ValueError, match="need 51539607540 bytes, 24 left"):
+        load_tensor(io.BytesIO(bytes(raw)))
+
+
+def test_dump_writes_strided_and_float64_arrays_as_float32():
+    arr = np.arange(6, dtype=np.float64).reshape(2, 3).T  # not C-contiguous, not float32
+    buf = io.BytesIO()
+    dump_tensor(buf, arr)
+    assert buf.getvalue()[12:] == arr.astype("<f4").tobytes(order="C")
+    buf.seek(0)
+    assert np.array_equal(load_tensor(buf), arr)

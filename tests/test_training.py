@@ -232,6 +232,18 @@ def test_training_deterministic():
         assert np.array_equal(model_a.params[key], model_b.params[key])
 
 
+def test_training_updates_the_given_model_in_place():
+    data = tiny_dataset(2)
+    model = StgcnModel(TINY_MODEL, seed=0)
+    arrays = dict(model.params)
+    initial = {k: arr.copy() for k, arr in arrays.items()}
+    cfg = TrainConfig(lr0=0.01, epochs=2, max_window=16, seed=0, momentum=0.5)
+    trained, _ = train(data, TINY_MODEL, cfg, model=model)
+    assert trained is model
+    assert all(model.params[k] is arr for k, arr in arrays.items())
+    assert not all(np.array_equal(initial[k], arr) for k, arr in arrays.items())
+
+
 def test_training_mode_mismatch():
     data = tiny_dataset(1)
     cfg = TrainConfig(mode="multi", lr0=0.01, epochs=1)
