@@ -8,8 +8,8 @@ and centering are block-diagonal (b = 0, M = N), temporal adjacency is a
 symmetric band and mean-pooling has M = 1; a dense matrix is the one-block
 case T = 1, b = 0.
 
-This module owns the layout: allocation, the symmetric edge scatter, stride
-subsampling and symmetric normalization. :func:`stacked_stgcn.tensor.banded_matmul`
+This module owns the layout: allocation, the symmetric edge scatter, window
+slicing, stride subsampling and symmetric normalization. :func:`stacked_stgcn.tensor.banded_matmul`
 applies block arrays to taped tensors.
 """
 
@@ -59,6 +59,22 @@ def zeros(num_steps: int, band: int, num_nodes: int, dtype) -> np.ndarray:
 def block_diagonal(mats: np.ndarray) -> np.ndarray:
     """(T, M, N) per-timestep blocks -> the (T, 1, M, N) block-diagonal array."""
     return np.asarray(mats)[:, None]
+
+
+def window(blocks: np.ndarray, start: int, length: int, band: int) -> np.ndarray:
+    """The blocks of timesteps start..start+length-1, as a matrix of their own.
+
+    The result has half-width ``band``, clamped to length - 1. Entries that
+    reach outside the window are dropped, and timesteps past the end of
+    ``blocks`` are zero (a padded window).
+    """
+    half = blocks.shape[1] // 2
+    b = max(0, min(band, length - 1))
+    out = np.zeros((length, 2 * b + 1) + blocks.shape[2:], dtype=blocks.dtype)
+    for k, delta, lo, hi in band_slices(min(length, blocks.shape[0] - start), 2 * b + 1):
+        if abs(delta) <= half:
+            out[lo:hi, k] = blocks[start + lo : start + hi, half + delta]
+    return out
 
 
 def raise_symmetric(blocks: np.ndarray, t, delta, i, j, w) -> None:

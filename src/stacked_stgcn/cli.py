@@ -142,6 +142,12 @@ def cmd_eval(args) -> int:
     data = _load_manifest(args.manifest, args.split)
     seqs = [seq for _, seq in data]
     mode = seqs[0].mode
+    for path, seq in data:
+        if seq.mode != mode:
+            raise ValidationError(
+                f"sequence {path} has label mode {seq.mode!r}, but {data[0][0]} has {mode!r}; "
+                "eval needs one label mode per manifest split"
+            )
     if mode == "single":
         metrics = evaluate_single(
             seqs, model, window=args.window, hop=args.hop, per_frame=args.per_frame

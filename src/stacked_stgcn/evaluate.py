@@ -41,22 +41,34 @@ def window_starts(t_total: int, window: int, hop: int) -> List[int]:
 def sliding_infer(
     seq: StgSequence, model: StgcnModel, window: int = 50, hop: int = 10
 ) -> ScoreTimeline:
-    """Windowed forward passes fused into one per-timestep score timeline."""
+    """Windowed forward passes fused into one per-timestep score timeline.
+
+    A model with ``score_windows`` scores all windows in one call; any
+    other model is called once per window with ``forward_scores``. A hop
+    longer than the window would leave steps unscored, so it is refused.
+    """
     if window < 1 or hop < 1:
         raise ValidationError("window and hop must be >= 1")
+    if hop > window:
+        raise ValidationError(f"hop {hop} exceeds window {window}: steps between windows "
+                              "would go unscored")
     T, C = seq.num_steps, seq.num_classes
     total = np.zeros((T, C), dtype=np.float64)
     coverage = np.zeros(T, dtype=np.int64)
-    if T <= window:
-        padded = pad_sequence(seq, window) if T < window else seq
-        scores = model.forward_scores(padded)
-        total += scores[:T]
-        coverage += 1
+    starts = window_starts(T, window, hop)
+    if hasattr(model, "score_windows"):
+        windows = model.score_windows(seq, starts, window)
     else:
-        for start in window_starts(T, window, hop):
-            scores = model.forward_scores(slice_sequence(seq, start, window))
-            total[start : start + window] += scores
-            coverage[start : start + window] += 1
+        windows = (
+            model.forward_scores(
+                pad_sequence(seq, window) if T <= window else slice_sequence(seq, start, window)
+            )
+            for start in starts
+        )
+    for start, scores in zip(starts, windows):
+        stop = min(start + window, T)  # a padded window keeps its first T rows
+        total[start:stop] += scores[: stop - start]
+        coverage[start:stop] += 1
     fused = np.where(coverage[:, None] > 0, total / np.maximum(coverage[:, None], 1), 0.0)
     return ScoreTimeline(
         scores=fused.astype(DTYPE), coverage=coverage, mode=seq.mode

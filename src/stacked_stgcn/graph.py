@@ -210,6 +210,25 @@ def build_adjacency(
     return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=T)
 
 
+def slice_adjacency(adj: AdjacencyPair, start: int, length: int, span: int) -> AdjacencyPair:
+    """The raw adjacency of the window [start, start+length) of ``adj``'s sequence.
+
+    It equals :func:`build_adjacency` of :func:`slice_sequence` (or, for the
+    one window of a shorter sequence, of :func:`pad_sequence`) at the same
+    ``span``: edges that cross the window border are dropped and the
+    temporal band narrows to min(span, length - 1).
+    """
+    T = adj.num_steps
+    if start < 0 or length < 1 or start + length > max(T, length):
+        raise ValidationError("window out of range")
+    return AdjacencyPair(
+        a_s=blocks.window(adj.a_s, start, length, 0),
+        a_t=blocks.window(adj.a_t, start, length, span),
+        num_tracks=adj.num_tracks,
+        num_steps=length,
+    )
+
+
 def apply_deformation(
     seq: StgSequence, drop_schedule: Sequence[Tuple[int, int]]
 ) -> StgSequence:

@@ -51,8 +51,9 @@ class StgcnLayerParams:
     An empty ``w_s`` means the input rows are already projected (by
     :func:`harmonize_projection`). ``w_t`` is the temporal weight matrix
     (d_model x d_out); ``None`` means the rows are already in the output
-    basis, as when inference folds a first layer's weights into the
-    harmonization kernels. ``bias`` is optional and off by default.
+    basis, as when inference applies the first layer's weight to the
+    prefix rows or folds a layer's weight into the conv before it.
+    ``bias`` is optional and off by default.
     """
 
     w_s: Dict[int, Tensor]
@@ -155,15 +156,16 @@ def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
 
 
 def harmonize_projection(
-    seq: StgSequence, kernels: Dict, group_by: str = "node_type"
+    seq: StgSequence, kernels: Dict, group_by: str = "node_type", steps: slice = slice(None)
 ) -> Tensor:
     """Map every node's features to a common width via per-group projections.
 
     Tracks are grouped by their ``group_by`` attribute (``node_type`` or
     ``cluster_id``) and each group owns one 1x1 convolution kernel (a plain
-    matmul on the feature vector). Absent nodes keep zero rows.
+    matmul on the feature vector). Absent nodes keep zero rows. Only the
+    timesteps in ``steps`` are projected; the output holds their rows.
     """
-    N, T = seq.num_tracks, seq.num_steps
+    N, T = seq.num_tracks, len(range(seq.num_steps)[steps])
     groups: Dict[object, List[int]] = {}
     for n, tr in enumerate(seq.tracks):
         groups.setdefault(getattr(tr, group_by), []).append(n)
@@ -172,7 +174,7 @@ def harmonize_projection(
         if key not in kernels:
             raise ConfigurationError(f"no projection kernel for {group_by} {key!r}")
         kernel = kernels[key]
-        feats = np.concatenate([seq.tracks[n].features for n in track_ids], axis=0)
+        feats = np.concatenate([seq.tracks[n].features[steps] for n in track_ids], axis=0)
         if feats.shape[1] != kernel.shape[0]:
             raise ConfigurationError(
                 f"kernel for {key!r} expects width {kernel.shape[0]}, got {feats.shape[1]}"

@@ -10,23 +10,28 @@ cluster; in the per-cluster case its kernels are the first layer's
 ``ws{c}``, and that layer, having no ``ws`` of its own, mixes the projected
 rows as they are.
 
-Training and inference run one forward body on different parameter sets:
-taped parameters for training, and for inference the untaped
-:func:`fold_parameters` set, in which each layer does one weight product
-and the first layer none.
+The forward splits into a row prefix (harmonization and centering, which
+act within a timestep) and a window body (the hourglass stack and the
+head). Training runs both on one window with taped parameters. Inference
+runs them untaped on the :func:`fold_parameters` set, in which the prefix
+does the first layer's weight product, each layer after an encoder conv
+none and every other layer one; :meth:`StgcnModel.score_windows` runs the
+prefix and the raw adjacency once per sequence and the body once per
+window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import tensor as tn
 from .config import DictCodec
 from .errors import ConfigurationError, ValidationError
-from .graph import StgSequence, build_adjacency
+from .graph import AdjacencyPair, StgSequence, build_adjacency, slice_adjacency
 from .hourglass import (
     DecoderLevelParams,
     EncoderLevelParams,
@@ -138,23 +143,32 @@ def _harmonization_kernels(cfg: ModelConfig) -> Dict[object, str]:
     return {c: f"{_first_layer(cfg)}/ws{c}" for c in range(len(cfg.cluster_feature_lens))}
 
 
+# the key of the first layer's weight in the folded set, applied by the prefix
+PREFIX_WEIGHT = "prefix/w"
+
+
 def fold_parameters(cfg: ModelConfig, params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """The parameters inference runs on: each chain of weight products as one.
+    """The parameters inference runs on: each chain of linear maps as one.
 
     A layer computes ``relu(A_t (A_s H W_s) W_t + b)``. Nothing nonlinear
     sits between its two weights, and the graph mixes rows while the weights
-    mix columns, so every layer keeps one ``wt`` = W_s W_t and no ``ws``.
-    The first layer's rows come straight from the harmonization kernels
-    (centering and A_s mix rows only), so its weights fold into them,
-    ``proj/{type}`` W_s W_t or ``ws{c}`` W_t, and it keeps neither.
+    mix columns, so every layer keeps one weight W = W_s W_t (its ``wt``)
+    and no ``ws``. Two kinds of layer keep none. The first layer's rows
+    come straight from the prefix (harmonization and centering mix no
+    columns), so its W moves there, as :data:`PREFIX_WEIGHT`. A layer after
+    an encoder conv takes the conv's output only, so its W folds into the
+    conv kernel, K_j W for each tap j.
     """
     out = dict(params)
     for key in params:
         if key.endswith("/wt") and f"{key[:-3]}/ws" in out:
             out[key] = out.pop(f"{key[:-3]}/ws") @ params[key]
-    first_wt = out.pop(f"{_first_layer(cfg)}/wt")
-    for path in _harmonization_kernels(cfg).values():
-        out[path] = params[path] @ first_wt
+    out[PREFIX_WEIGHT] = out.pop(f"{_first_layer(cfg)}/wt")
+    for b in range(cfg.stack_depth):
+        for l in range(cfg.levels):
+            after = f"block{b}/enc{l + 1}" if l + 1 < cfg.levels else f"block{b}/bottleneck"
+            conv = f"block{b}/enc{l}/conv"
+            out[conv] = params[conv] @ out.pop(f"{after}/wt")
     return out
 
 
@@ -183,8 +197,9 @@ class StgcnModel:
     """A :class:`ParameterStore` plus the forward pass over one sequence.
 
     ``forward_taped`` runs it on taped parameters, for training.
-    ``forward_scores`` runs the same forward on the untaped
-    :func:`fold_parameters` set, built once per store version.
+    ``score_windows`` runs the same forward on the untaped
+    :func:`fold_parameters` set, built once per store version, over many
+    windows of one sequence; ``forward_scores`` is its one-window case.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -223,7 +238,8 @@ class StgcnModel:
     @staticmethod
     def _layer_params(params: Dict[str, Tensor], prefix: str) -> StgcnLayerParams:
         # no ``ws``: the rows arrive projected (per-cluster first layer) or
-        # the weights are folded; no ``wt``: folded into the kernels as well
+        # the weights are folded; no ``wt``: the first layer's went to the
+        # prefix, or the layer's went into the encoder conv before it
         w_s = params.get(f"{prefix}/ws")
         return StgcnLayerParams(
             w_s={} if w_s is None else {0: w_s},
@@ -231,14 +247,15 @@ class StgcnModel:
             bias=params.get(f"{prefix}/bias"),
         )
 
+    def _adjacency(self, seq: StgSequence) -> AdjacencyPair:
+        cross = self.cfg.harmonization == "per-cluster-gcn"
+        return build_adjacency(seq, self.cfg.span, cross_cluster_in_temporal=cross)
+
     def prepare_levels(self, seq: StgSequence):
         """Precompute normalized per-level adjacency for repeated forwards."""
-        cross = self.cfg.harmonization == "per-cluster-gcn"
-        adj = build_adjacency(seq, self.cfg.span, cross_cluster_in_temporal=cross)
-        return build_level_adjacency(adj, self.cfg.levels, self.cfg.stride)
+        return build_level_adjacency(self._adjacency(seq), self.cfg.levels, self.cfg.stride)
 
-    def _forward(self, seq: StgSequence, params: Dict[str, Tensor], levels) -> Tensor:
-        """Class scores (T x C) of ``seq`` under ``params``, taped or not."""
+    def _check(self, seq: StgSequence) -> None:
         cfg = self.cfg
         if seq.num_classes != cfg.num_classes:
             raise ValidationError(
@@ -249,9 +266,25 @@ class StgcnModel:
             raise ValidationError(
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
-        if levels is None:
-            levels = self.prepare_levels(seq)
-        presence = flat_presence(seq)
+
+    def _prefix(self, seq: StgSequence, params, presence: np.ndarray, steps: slice) -> Tensor:
+        """Harmonized and centered rows of the timesteps ``steps``; ``presence`` is the sequence's.
+
+        On folded parameters the rows also get the first layer's weight.
+        """
+        cfg = self.cfg
+        kernels = {key: params[path] for key, path in _harmonization_kernels(cfg).items()}
+        group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
+        h = harmonize_projection(seq, kernels, group_by=group_by, steps=steps)
+        if cfg.center_input:
+            N = seq.num_tracks
+            h = subtract_mean(h, presence[steps.start * N : steps.stop * N], N)
+        w = params.get(PREFIX_WEIGHT)  # folded parameters only
+        return h if w is None else tn.matmul(h, w)
+
+    def _body(self, h: Tensor, levels, presence: np.ndarray, params) -> Tensor:
+        """Class scores of one window's prefix rows ``h``, given its levels and presence."""
+        cfg = self.cfg
         blocks = [
             HourglassBlockParams(
                 encoder=[
@@ -274,21 +307,20 @@ class StgcnModel:
             )
             for b in range(cfg.stack_depth)
         ]
-
-        kernels = {key: params[path] for key, path in _harmonization_kernels(cfg).items()}
-        group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
-        h = harmonize_projection(seq, kernels, group_by=group_by)
-        if cfg.center_input:
-            h = subtract_mean(h, presence, seq.num_tracks)
         h = stack_forward(h, levels, blocks, cfg.stride, skip=cfg.skip)
-        pool = pooling_matrix(presence, seq.num_tracks)
+        pool = pooling_matrix(presence, levels[0].num_tracks)
         return head_forward(h, pool, params["head/w"], params["head/b"])
 
     def forward_taped(self, seq: StgSequence, levels=None):
         """Run the model on one sequence; returns (tape, taped params, scores)."""
+        self._check(seq)
+        if levels is None:
+            levels = self.prepare_levels(seq)
         tape = Tape()
         taped = {path: tape.watch(arr) for path, arr in self.params.items()}
-        return tape, taped, self._forward(seq, taped, levels)
+        presence = flat_presence(seq)
+        h = self._prefix(seq, taped, presence, slice(0, seq.num_steps))
+        return tape, taped, self._body(h, levels, presence, taped)
 
     def _inference_params(self) -> Dict[str, Tensor]:
         """The folded parameters as untaped tensors, rebuilt when the store's version moves."""
@@ -300,6 +332,38 @@ class StgcnModel:
             self._folded = (self.params, self.params.version, view)
         return self._folded[2]
 
+    def score_windows(
+        self, seq: StgSequence, starts: Sequence[int], window: int
+    ) -> List[np.ndarray]:
+        """Class scores (window x C) of each window [start, start+window) of ``seq``, untaped.
+
+        The prefix rows (in window-length chunks of steps) and the raw
+        adjacency are computed once per sequence; each window slices its
+        rows and adjacency blocks from them and normalizes its own levels.
+        A sequence shorter than the window is zero-padded to it, as in
+        :func:`stacked_stgcn.graph.pad_sequence`; its one window starts at 0.
+        """
+        self._check(seq)
+        if window < 1:
+            raise ValidationError("window must be >= 1")
+        cfg, params = self.cfg, self._inference_params()
+        N, T = seq.num_tracks, seq.num_steps
+        presence = np.zeros(max(T, window) * N, dtype=bool)
+        presence[: T * N] = flat_presence(seq)
+        rows = np.zeros((len(presence), cfg.d_model), dtype=DTYPE)
+        for lo in range(0, T, window):
+            steps = slice(lo, min(lo + window, T))
+            rows[lo * N : steps.stop * N] = self._prefix(seq, params, presence, steps).data
+        adj = self._adjacency(seq)
+        scores = []
+        for start in starts:
+            levels = build_level_adjacency(
+                slice_adjacency(adj, start, window, cfg.span), cfg.levels, cfg.stride
+            )
+            win = slice(start * N, (start + window) * N)
+            scores.append(self._body(Tensor(rows[win]), levels, presence[win], params).data)
+        return scores
+
     def forward_scores(self, seq: StgSequence) -> np.ndarray:
         """Per-timestep class scores (T x C) as a plain array, without a tape."""
-        return self._forward(seq, self._inference_params(), None).data
+        return self.score_windows(seq, [0], seq.num_steps)[0]

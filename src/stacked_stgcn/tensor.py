@@ -338,12 +338,51 @@ def gather_rows(x: Tensor, indices: Iterable[int]) -> Tensor:
     return record(x.data[idx], [x], grad_fn)
 
 
+def _band_product(rows: np.ndarray, x: np.ndarray, b: int) -> np.ndarray:
+    """(T, M, d) product of a band's block rows with (T, N, d) input rows: one GEMM per timestep.
+
+    ``rows[t]`` is block row t, its 2b+1 blocks of (M, N) side by side, and
+    timestep t multiplies it with the (2b+1)N x d slab of input steps
+    t-b..t+b. Inside the sequence the slabs overlap, so they are one strided
+    view of the input, not copies. The 2b timesteps nearest its ends
+    multiply only the part of their slab that lies inside it, so blocks
+    that reach outside 0..T-1 are never read.
+    """
+    T, M, wn = rows.shape
+    N, d = x.shape[1], x.shape[2]
+    x = np.ascontiguousarray(x)
+    out = np.empty((T, M, d), dtype=DTYPE)
+    if T > 2 * b:
+        slabs = np.lib.stride_tricks.as_strided(
+            x, shape=(T - 2 * b, wn, d), strides=x.strides, writeable=False
+        )
+        np.matmul(rows[b : T - b], slabs, out=out[b : T - b], dtype=DTYPE)
+    for t in [*range(min(b, T)), *range(max(b, T - b), T)]:
+        lo, hi = max(0, t - b), min(T, t + b + 1)
+        cols = slice((lo - t + b) * N, (hi - t + b) * N)
+        np.matmul(rows[t, :, cols], x[lo:hi].reshape(-1, d), out=out[t], dtype=DTYPE)
+    return out
+
+
+def _transposed_rows(a: np.ndarray) -> np.ndarray:
+    """Block rows, as :func:`_band_product` takes them, of the transpose of blocks ``a``.
+
+    Block ``[u, b + delta]`` of the transpose is ``a[u + delta, b - delta].T``.
+    """
+    T, width, M, N = a.shape
+    out = np.zeros((T, N, width, M), dtype=a.dtype)
+    for k, delta, lo, hi in band_slices(T, width):
+        out[lo:hi, :, k] = a[lo + delta : hi + delta, width - 1 - k].transpose(0, 2, 1)
+    return out.reshape(T, N, width * M)
+
+
 def banded_matmul(blocks: np.ndarray, x: Tensor) -> Tensor:
     """Product of a constant block-banded matrix with a rank-2 tensor.
 
     ``blocks`` is a (T, 2b+1, M, N) block array (see :mod:`stacked_stgcn.blocks`)
     or a plain 2-D matrix; ``x`` has T*N timestep-major rows and the output
-    T*M. Only ``x`` receives a gradient.
+    T*M. Only ``x`` receives a gradient: the product with the transposed
+    band, which for symmetric adjacency is the band itself.
     """
     a = as_blocks(blocks)
     if x.data.ndim != 2:
@@ -352,17 +391,12 @@ def banded_matmul(blocks: np.ndarray, x: Tensor) -> Tensor:
     if x.shape[0] != T * N:
         raise DimensionError(f"row count {x.shape[0]} does not match adjacency {T * N}")
     d = x.shape[1]
-    xd = x.data.reshape(T, N, d)
-    out = np.zeros((T, M, d), dtype=DTYPE)
-    for k, delta, lo, hi in band_slices(T, width):
-        out[lo:hi] += a[lo:hi, k] @ xd[lo + delta : hi + delta]
+    rows = a.transpose(0, 2, 1, 3).reshape(T, M, width * N)
+    out = _band_product(rows, x.data.reshape(T, N, d), width // 2)
 
     def grad_fn(gout):
-        g = gout.reshape(T, M, d)
-        gx = np.zeros((T, N, d), dtype=DTYPE)
-        for k, delta, lo, hi in band_slices(T, width):
-            gx[lo + delta : hi + delta] += a[lo:hi, k].transpose(0, 2, 1) @ g[lo:hi]
-        return [gx.reshape(T * N, d)]
+        g = _band_product(_transposed_rows(a), gout.reshape(T, M, d), width // 2)
+        return [g.reshape(T * N, d)]
 
     return record(out.reshape(T * M, d), [x], grad_fn)
 

@@ -102,3 +102,33 @@ def dense_pooling(presence, num_tracks):
         if idx.size:
             mat[t, idx + t * num_tracks] = 1.0 / idx.size
     return mat
+
+
+def loop_banded_product(blocks, x):
+    """(T*M) x d product of (T, 2b+1, M, N) blocks with T*N rows, one band offset at a time.
+
+    The forward of the former ``banded_matmul``, in the dtype of its inputs;
+    blocks that reach outside 0..T-1 are skipped.
+    """
+    T, width, M, N = blocks.shape
+    xd = x.reshape(T, N, -1)
+    out = np.zeros((T, M, xd.shape[-1]), dtype=np.result_type(blocks, x))
+    for k in range(width):
+        delta = k - width // 2
+        lo, hi = max(0, -delta), min(T, T - delta)
+        if lo < hi:
+            out[lo:hi] += blocks[lo:hi, k] @ xd[lo + delta : hi + delta]
+    return out.reshape(T * M, -1)
+
+
+def loop_banded_gradient(blocks, gout):
+    """Gradient of :func:`loop_banded_product` with respect to its rows, for upstream ``gout``."""
+    T, width, M, N = blocks.shape
+    g = gout.reshape(T, M, -1)
+    gx = np.zeros((T, N, g.shape[-1]), dtype=np.result_type(blocks, gout))
+    for k in range(width):
+        delta = k - width // 2
+        lo, hi = max(0, -delta), min(T, T - delta)
+        if lo < hi:
+            gx[lo + delta : hi + delta] += blocks[lo:hi, k].transpose(0, 2, 1) @ g[lo:hi]
+    return gx.reshape(T * N, -1)

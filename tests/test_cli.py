@@ -272,6 +272,45 @@ def test_eval_mismatched_classes(dataset, tmp_path):
     assert rc == 2
 
 
+def untrained_checkpoint(tmp_path):
+    ckpt = tmp_path / "model.ckpt"
+    model = StgcnModel(ModelConfig.from_dict(MODEL_CONFIG), seed=0)
+    save_checkpoint(str(ckpt), model, TrainConfig(), epoch=0)
+    return str(ckpt)
+
+
+def test_eval_rejects_a_manifest_that_mixes_label_modes(dataset, tmp_path, capsys):
+    multi = dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], mode="multi"))
+    other = tmp_path / "multi"
+    cfg = write_json(tmp_path / "multi.json", multi)
+    assert main(["synth", "--config", cfg, "--seed", "2", "--out", str(other)]) == 0
+    manifest = write_json(tmp_path / "mixed.json", {
+        "root": ".",
+        "sequences": [
+            {"path": "data/seq_0003", "split": "test"},
+            {"path": "multi/seq_0004", "split": "test"},
+        ],
+    })
+    out = tmp_path / "m.json"
+    rc = main(["eval", "--manifest", manifest, "--checkpoint", untrained_checkpoint(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "multi/seq_0004" in err and "'multi'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_hop_longer_than_window_exits_2(dataset, tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    rc = main([command, "--manifest", str(dataset / "manifest.json"),
+               "--checkpoint", untrained_checkpoint(tmp_path), "--out", str(out),
+               "--window", "4", "--hop", "6"])
+    assert rc == 2
+    assert "hop 6 exceeds window 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_multi_label_pipeline(tmp_path):
     synth = {
         "synth": dict(SYNTH_CONFIG["synth"], mode="multi"),

@@ -96,6 +96,15 @@ def test_short_sequence_padded_then_cropped():
     assert np.array_equal(timeline.scores, EchoModel().forward_scores(seq))
 
 
+def test_hop_longer_than_window_rejected():
+    seq = sequence_of_length(70)
+    assert window_starts(70, 20, 60) == [0, 50]  # steps 20..49 lie in no window
+    with pytest.raises(ValidationError, match="hop 60 exceeds window 20"):
+        sliding_infer(seq, EchoModel(), window=20, hop=60)
+    timeline = sliding_infer(seq, EchoModel(), window=20, hop=20)  # abutting windows
+    assert np.all(timeline.coverage >= 1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(t_total=st.integers(1, 400), window=st.integers(1, 60), hop=st.integers(1, 30))
 def test_window_starts_cover_everything(t_total, window, hop):

@@ -21,6 +21,7 @@ from stacked_stgcn.graph import (
     load_stgs,
     pad_sequence,
     save_stgs,
+    slice_adjacency,
     slice_sequence,
     validate_sequence,
 )
@@ -335,6 +336,59 @@ def test_slice_reindexes_temporal_edges():
     # edge (t=2 -> t=3) of the original becomes (0 -> 1)
     assert [0, 0, 0, 1, 1.0] in window.temporal_edges.tolist()
     validate_sequence(window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    span=st.integers(1, 4),
+    cross=st.booleans(),
+    length=st.integers(1, 20),
+    offset=st.floats(0.0, 1.0),
+)
+def test_sliced_window_blocks_equal_blocks_of_the_sliced_sequence(
+    seed, span, cross, length, offset
+):
+    cfg = SynthConfig(
+        num_classes=3, cluster_feature_lens=(3, 4), t_range=(2, 16), temporal_span=span
+    )
+    seq, _ = synth_generate(cfg, seed)
+    rng = np.random.default_rng(seed + 1)
+    seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, rng, burst=1))
+    T = seq.num_steps
+    if length > T:  # the one window of a shorter sequence: padded, not sliced
+        start, window = 0, pad_sequence(seq, length)
+    else:
+        start = int(offset * (T - length))
+        window = slice_sequence(seq, start, length)
+    got = slice_adjacency(build_adjacency(seq, span, cross), start, length, span)
+    want = build_adjacency(window, span, cross)
+    assert (got.num_steps, got.num_tracks) == (want.num_steps, want.num_tracks)
+    for a, b in ((got.a_s, want.a_s), (got.a_t, want.a_t)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def test_sliced_window_blocks_drop_edges_across_the_border():
+    seq = load_stgs(str(STGS_FIXTURE))
+    adj = build_adjacency(seq, 2)
+    for start, length in ((3, 5), (0, 2), (4, 1), (0, 12)):
+        window = slice_sequence(seq, start, length)
+        crossing = (seq.temporal_edges[:, 1] < start + length) & (
+            seq.temporal_edges[:, 3] >= start + length
+        )
+        assert crossing.any() or start + length == 12
+        got = slice_adjacency(adj, start, length, 2)
+        assert got.a_t.shape[1] == 2 * min(2, length - 1) + 1  # the band narrows
+        assert np.array_equal(got.a_t, build_adjacency(window, 2).a_t)
+        assert np.array_equal(got.a_s, build_adjacency(window, 2).a_s)
+
+
+@pytest.mark.parametrize("start, length", [(-1, 3), (10, 3), (1, 13), (0, 0)])
+def test_sliced_window_out_of_range_rejected(start, length):
+    adj = build_adjacency(load_stgs(str(STGS_FIXTURE)), 2)
+    with pytest.raises(ValidationError):
+        slice_adjacency(adj, start, length, 2)
 
 
 def test_pad_masks_added_steps():

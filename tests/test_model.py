@@ -3,13 +3,17 @@
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stacked_stgcn import model as model_module
 from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ValidationError
+from stacked_stgcn.evaluate import sliding_infer, window_starts
 from stacked_stgcn.gradcheck import check_model_gradients
+from stacked_stgcn.graph import load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel, parameter_table
 from stacked_stgcn.synth import SynthConfig, synth_generate
 from stacked_stgcn.tensor import DTYPE, backward
@@ -113,6 +117,89 @@ def test_forward_scores_match_taped_forward(cfg):
     assert np.abs(scores - taped).max() <= 1e-6
 
 
+# -- scoring many windows of one sequence --------------------------------------
+
+STGS_FIXTURE = Path(__file__).parent / "data" / "deformed_two_cluster.stgs"
+
+
+def per_window(model):
+    """``model`` behind ``forward_scores`` only, so sliding_infer scores window by window."""
+    return SimpleNamespace(forward_scores=model.forward_scores)
+
+
+def assert_windows_match_per_window_loop(model, seq, window, hop):
+    fused = sliding_infer(seq, model, window=window, hop=hop)
+    looped = sliding_infer(seq, per_window(model), window=window, hop=hop)
+    assert np.array_equal(fused.coverage, looped.coverage)
+    assert np.abs(fused.scores - looped.scores).max() <= 1e-6
+    starts = window_starts(seq.num_steps, window, hop)
+    scores = model.score_windows(seq, starts, window)
+    assert [s.shape for s in scores] == [(window, seq.num_classes)] * len(starts)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        preset("cad120"),
+        preset("charades_i3d"),
+        preset("charades_vgg"),
+        tiny_config(gcn_bias=True),
+        replace(tiny_config(), levels=0),
+        tiny_config(stack_depth=2),
+        tiny_config(decoder_stgcn=True),
+        tiny_config(center_input=False),
+    ],
+    ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "levels0", "stack_depth2",
+         "decoder_stgcn", "no_centering"],
+)
+@pytest.mark.parametrize(
+    "window, hop",
+    [(16, 4), (11, 5), (8, 3)],
+    ids=["padded", "window_plus_one", "flush"],  # T = 12: starts [0], [0, 1], [0, 3, 4]
+)
+def test_score_windows_match_the_per_window_loop(cfg, window, hop):
+    model = with_nonzero_biases(StgcnModel(cfg, seed=0))
+    assert_windows_match_per_window_loop(model, sequence_for(cfg), window, hop)
+
+
+@pytest.mark.parametrize("window, hop", [(5, 2), (3, 3), (2, 1)])
+def test_score_windows_on_edges_across_window_borders(window, hop):
+    seq = load_stgs(str(STGS_FIXTURE))  # span 2, gap-bridging and cross-cluster edges
+    model = with_nonzero_biases(StgcnModel(tiny_config(gcn_bias=True), seed=0))
+    assert_windows_match_per_window_loop(model, seq, window, hop)
+
+
+def test_score_windows_runs_prefix_and_adjacency_once_per_sequence(monkeypatch):
+    cfg = tiny_config()
+    model = StgcnModel(cfg, seed=0)
+    seq = sequence_for(cfg)  # T = 12
+    calls = {"harmonize_projection": 0, "build_adjacency": 0}
+    for name in calls:
+        original = getattr(model_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, name, counting)
+    assert window_starts(12, 5, 2) == [0, 2, 4, 6, 7]
+    sliding_infer(seq, model, window=5, hop=2)
+    # the prefix in 5-step chunks (steps 0-4, 5-9, 10-11), one raw adjacency
+    assert calls == {"harmonize_projection": 3, "build_adjacency": 1}
+
+
+def test_score_windows_checks_classes_and_cluster_widths():
+    model = StgcnModel(tiny_config(), seed=0)
+    seq = sequence_for(tiny_config())
+    with pytest.raises(ValidationError, match="classes"):
+        model.score_windows(replace(seq, num_classes=4), [0], 5)
+    wider = SynthConfig(num_classes=3, cluster_feature_lens=(3, 5), t_range=(12, 12))
+    with pytest.raises(ValidationError, match="feature lengths"):
+        model.score_windows(synth_generate(wider, 0)[0], [0], 5)
+    with pytest.raises(ValidationError, match="window out of range"):
+        model.score_windows(seq, [8], 5)
+
+
 def test_folding_leaves_one_product_per_layer(monkeypatch):
     cfg = preset("charades_vgg")  # 2 node types, 3 blocks of 3 layers, head
     model = StgcnModel(cfg, seed=0)
@@ -129,7 +216,9 @@ def test_folding_leaves_one_product_per_layer(monkeypatch):
     assert len(shapes) == 2 + 9 * 2 + 1
     shapes.clear()
     model.forward_scores(seq)
-    assert len(shapes) == 2 + 8 + 1
+    # the two kernels, block0/enc0's weight on the prefix rows, enc0 of blocks 1
+    # and 2, the head: each enc1 and bottleneck folds into the conv before it
+    assert len(shapes) == 2 + 1 + 2 + 1
 
 
 def test_folded_view_is_rebuilt_when_parameters_are_replaced():

@@ -10,10 +10,18 @@ from hypothesis import strategies as st
 from conftest import assert_grad_close, check_op_gradients, finite_diff, op_gradient_cases
 from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ContractError, DimensionError, NumericalError
+from stacked_stgcn.graph import apply_deformation, build_adjacency
+from stacked_stgcn.layers import (
+    centering_matrix,
+    flat_presence,
+    normalize_adjacency,
+    pooling_matrix,
+)
+from stacked_stgcn.synth import SynthConfig, sample_drop_schedule, synth_generate
 from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor, load_tensor
 from stacked_stgcn.training import masked_ce_loss
 
-from dense_reference import blocks_to_dense
+from dense_reference import blocks_to_dense, loop_banded_gradient, loop_banded_product
 
 RNG = np.random.default_rng(0)
 CASES = op_gradient_cases(RNG)
@@ -138,6 +146,41 @@ def test_banded_matmul_equals_dense_product(rng):
     expected = blocks_to_dense(blocks).astype(np.float64) @ x.astype(np.float64)
     assert out.shape == (10, 4)
     assert np.allclose(out.data, expected, atol=1e-5)
+
+
+def band_kinds():
+    """Block arrays of each kind the model multiplies by, plus a band that is not symmetric."""
+    cfg = SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), t_range=(9, 9), temporal_span=3)
+    seq, _ = synth_generate(cfg, 3)
+    seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, np.random.default_rng(0)))
+    adj = build_adjacency(seq, 3, cross_cluster_in_temporal=True)
+    presence, N = flat_presence(seq), seq.num_tracks
+    rng = np.random.default_rng(8)
+    return {
+        "symmetric": normalize_adjacency(adj.a_t),
+        "centering": centering_matrix(presence, N),
+        "pooling": pooling_matrix(presence, N),
+        "band-not-symmetric": rng.uniform(-1, 1, (9, 5, 3, N)).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "centering", "pooling", "band-not-symmetric"])
+def test_banded_matmul_matches_the_per_offset_loop(kind):
+    blocks = band_kinds()[kind]
+    T, _, M, N = blocks.shape
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1, 1, (T * N, 6)).astype(np.float32)
+    gout = rng.uniform(-1, 1, (T * M, 6)).astype(np.float32)
+    tape = Tape()
+    out = tn.banded_matmul(blocks, tape.watch(x))
+    (_, _, grad_fn), = tape._records
+    (gx,) = grad_fn(gout)
+    b64 = blocks.astype(np.float64)
+    for got, want in ((out.data, loop_banded_product(b64, x.astype(np.float64))),
+                      (gx, loop_banded_gradient(b64, gout.astype(np.float64)))):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+    assert np.array_equal(out.data, tn.banded_matmul(blocks, Tensor(x)).data)
 
 
 def test_banded_matmul_rejects_row_mismatch():
