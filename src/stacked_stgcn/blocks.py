@@ -5,7 +5,8 @@ apart is stored as an array of shape (T, 2b+1, M, N): ``blocks[t, b + delta]``
 is the M x N block mapping the N rows of timestep t + delta onto the M rows
 of timestep t. Blocks reaching outside 0..T-1 stay zero. Spatial adjacency
 and centering are block-diagonal (b = 0, M = N), temporal adjacency is a
-symmetric band and mean-pooling has M = 1; a dense matrix is the one-block
+symmetric band and mean-pooling has M = 1 (or M = s output timesteps per
+input step of a sequence subsampled by s); a dense matrix is the one-block
 case T = 1, b = 0.
 
 This module owns the layout: allocation, the symmetric edge scatter, window

@@ -1,8 +1,8 @@
 """Command-line surface: synth, ingest, train, infer, eval, gradcheck.
 
-Exit codes: 0 on success, 2 on validation or configuration errors (missing
-or truncated input files included), 3 on numerical failures (NaN loss,
-failed gradient check).
+Exit codes: 0 on success, 2 on validation or configuration errors (missing,
+truncated or unreadable input files and unwritable outputs included), 3 on
+numerical failures (NaN loss, failed gradient check).
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValidationError, ContractError, DimensionError, FileNotFoundError) as exc:
+    except (ValidationError, ContractError, DimensionError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

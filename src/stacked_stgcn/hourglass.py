@@ -8,12 +8,16 @@ decoder mirrors with transposed convolutions, adding same-level encoder
 outputs when skip connections are on. Temporal extents that do not divide
 by the stride are zero-padded before the strided convolution and cropped
 after upsampling, so a block always returns the temporal extent it was fed.
+
+Only the head reads the last block's output, through a per-timestep node
+mean. A decoder without STGCN layers is linear, so :func:`head_forward`
+can take that mean first and run the decoder on one row per timestep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,14 +130,11 @@ class HourglassBlockParams:
     decoder: List[DecoderLevelParams]  # index l mirrors encoder level l
 
 
-def hourglass_forward(
-    h: Tensor,
-    levels: Sequence[LevelAdjacency],
-    params: HourglassBlockParams,
-    stride: int,
-    skip: bool = True,
-) -> Tensor:
-    """One hourglass block; output temporal extent equals the input extent."""
+def hourglass_encode(
+    h: Tensor, levels: Sequence[LevelAdjacency], params: HourglassBlockParams, stride: int
+) -> Tuple[Tensor, List[Tensor]]:
+    """The encoder and bottleneck of one block: the bottleneck output and the
+    encoder outputs its decoder adds back, level 0 first."""
     depth = len(params.encoder)
     if len(levels) < depth + 1:
         raise DimensionError("not enough adjacency levels for this block")
@@ -150,9 +151,20 @@ def hourglass_forward(
         )
 
     lv = levels[depth]
-    x = stgcn_layer(x, lv.ns, lv.nt, params.bottleneck)
+    return stgcn_layer(x, lv.ns, lv.nt, params.bottleneck), skips
 
-    for l in reversed(range(depth)):
+
+def hourglass_forward(
+    h: Tensor,
+    levels: Sequence[LevelAdjacency],
+    params: HourglassBlockParams,
+    stride: int,
+    skip: bool = True,
+) -> Tensor:
+    """One hourglass block; output temporal extent equals the input extent."""
+    x, skips = hourglass_encode(h, levels, params, stride)
+    num_tracks = levels[0].num_tracks
+    for l in reversed(range(len(params.decoder))):
         x = temporal_deconv_flat(
             x,
             params.decoder[l].deconv_kernel,
@@ -183,14 +195,40 @@ def stack_forward(
 
 
 def head_forward(
-    h: Tensor, pool: np.ndarray, w: Tensor, b: Optional[Tensor] = None
+    h: Tensor,
+    pool: np.ndarray,
+    w: Tensor,
+    b: Optional[Tensor] = None,
+    decoder: Sequence[Tuple[np.ndarray, Tensor, Optional[Tensor]]] = (),
+    stride: int = 1,
 ) -> Tensor:
     """Spatial mean-pool per timestep, then an affine map to class scores.
 
-    ``pool`` is the (T, 1, 1, N) block array of :func:`pooling_matrix`, or a
-    dense T x N_t matrix.
+    ``pool`` is the block array of :func:`pooling_matrix` (or a dense
+    T x N_t matrix) for the level of ``h``. With no ``decoder``, ``h`` is at
+    level 0 and ``pool`` has one row per timestep.
+
+    ``decoder`` is a decoder without STGCN layers that takes ``h`` from
+    level L back to level 0, as (pool, deconv kernel, skip or None) per
+    level from L-1 down to 0; level l's pool is
+    ``pooling_matrix(presence, N, stride ** l)`` and ``pool`` is level L's.
+    Its deconvs and skip adds are linear and, with kernel size = stride,
+    give each level-0 step t one tap per level, ``(t // stride**l) % stride``,
+    so the node mean is taken first and the decoder runs on one pooled row
+    per timestep: the scores equal those of the plain head on that
+    decoder's output, as in :func:`hourglass_forward`.
     """
-    scores = tn.matmul(tn.banded_matmul(pool, h), w)
+    x = tn.banded_matmul(pool, h)
+    for level_pool, kernel, skip in decoder:
+        if kernel.shape[0] != stride:
+            raise DimensionError(f"deconv kernel has {kernel.shape[0]} taps, stride is {stride}")
+        steps, _, phases, _ = level_pool.shape
+        if x.shape[0] > steps * phases:  # the deconv's crop to level l's steps
+            x = tn.slice_axis(x, 0, 0, steps * phases)
+        x = tn.tap_matmul(x, kernel, np.arange(steps * phases) // phases % stride)
+        if skip is not None:
+            x = tn.add(x, tn.banded_matmul(level_pool, skip))
+    scores = tn.matmul(x, w)
     if b is not None:
         scores = tn.add(scores, b)
     return scores

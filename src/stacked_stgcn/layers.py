@@ -10,7 +10,8 @@ matrices into a single spatial convolution.
 Adjacency, centering and pooling are constant block arrays (see
 :mod:`stacked_stgcn.blocks`) applied with :func:`stacked_stgcn.tensor.banded_matmul`:
 spatial adjacency and centering are block-diagonal, temporal adjacency is a
-band of half-width span, and mean-pooling has one output row per timestep.
+band of half-width span, and mean-pooling has one output row per timestep
+(``phases`` of them per block when pooling a subsampled level).
 A dense N_t x N_t matrix is accepted wherever adjacency is, as the one-block
 case T = 1.
 """
@@ -210,7 +211,14 @@ def flat_presence(seq: StgSequence) -> np.ndarray:
     return np.stack([tr.presence for tr in seq.tracks], axis=1).reshape(-1)
 
 
-def pooling_matrix(presence: np.ndarray, num_tracks: int) -> np.ndarray:
-    """(T, 1, 1, N) blocks mean-pooling present nodes per timestep; zero when none."""
+def pooling_matrix(presence: np.ndarray, num_tracks: int, phases: int = 1) -> np.ndarray:
+    """(ceil(T/phases), 1, phases, N) blocks mean-pooling present nodes per timestep.
+
+    Row p of block u pools timestep u * phases + p, so the blocks map the
+    rows of a sequence subsampled by ``phases`` onto the timesteps each of
+    its steps spans. A row is zero when no node is present, and past T.
+    """
     p, count = _presence_counts(presence, num_tracks)
-    return blocks.block_diagonal((p / count[:, None])[:, None, :].astype(DTYPE))
+    pool = np.zeros((-(-len(p) // phases) * phases, num_tracks), dtype=DTYPE)
+    pool[: len(p)] = p / count[:, None]
+    return blocks.block_diagonal(pool.reshape(-1, phases, num_tracks))

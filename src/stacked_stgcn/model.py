@@ -12,7 +12,10 @@ rows as they are.
 
 The forward splits into a row prefix (harmonization and centering, which
 act within a timestep) and a window body (the hourglass stack and the
-head). Training runs both on one window with taped parameters. Inference
+head). Unless the decoders have STGCN layers, the head pools the last
+block's bottleneck and skips and runs that block's decoder on the pooled
+rows (see :func:`stacked_stgcn.hourglass.head_forward`). Training runs
+both on one window with taped parameters. Inference
 runs them untaped on the :func:`fold_parameters` set, in which the prefix
 does the first layer's weight product, each layer after an encoder conv
 none and every other layer one; :meth:`StgcnModel.score_windows` runs the
@@ -38,6 +41,7 @@ from .hourglass import (
     HourglassBlockParams,
     build_level_adjacency,
     head_forward,
+    hourglass_encode,
     stack_forward,
 )
 from .layers import (
@@ -282,10 +286,9 @@ class StgcnModel:
         w = params.get(PREFIX_WEIGHT)  # folded parameters only
         return h if w is None else tn.matmul(h, w)
 
-    def _body(self, h: Tensor, levels, presence: np.ndarray, params) -> Tensor:
-        """Class scores of one window's prefix rows ``h``, given its levels and presence."""
+    def _blocks(self, params: Dict[str, Tensor]) -> List[HourglassBlockParams]:
         cfg = self.cfg
-        blocks = [
+        return [
             HourglassBlockParams(
                 encoder=[
                     EncoderLevelParams(
@@ -307,9 +310,30 @@ class StgcnModel:
             )
             for b in range(cfg.stack_depth)
         ]
-        h = stack_forward(h, levels, blocks, cfg.stride, skip=cfg.skip)
-        pool = pooling_matrix(presence, levels[0].num_tracks)
-        return head_forward(h, pool, params["head/w"], params["head/b"])
+
+    def _body(self, h: Tensor, levels, presence: np.ndarray, params) -> Tensor:
+        """Class scores of one window's prefix rows ``h``, given its levels and presence.
+
+        Without decoder STGCN layers, no ReLU follows the last block's
+        decoder, so :func:`head_forward` runs it on pooled rows.
+        """
+        cfg, N = self.cfg, levels[0].num_tracks
+        blocks = self._blocks(params)
+        skips, depth = [], 0
+        if cfg.decoder_stgcn:
+            h = stack_forward(h, levels, blocks, cfg.stride, skip=cfg.skip)
+        else:
+            h = stack_forward(h, levels, blocks[:-1], cfg.stride, skip=cfg.skip)
+            h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
+            depth = cfg.levels
+        pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(depth + 1)]
+        decoder = [
+            (pools[l], blocks[-1].decoder[l].deconv_kernel, skips[l] if cfg.skip else None)
+            for l in reversed(range(depth))
+        ]
+        return head_forward(
+            h, pools[depth], params["head/w"], params["head/b"], decoder, cfg.stride
+        )
 
     def forward_taped(self, seq: StgSequence, levels=None):
         """Run the model on one sequence; returns (tape, taped params, scores)."""

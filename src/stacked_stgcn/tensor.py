@@ -7,11 +7,11 @@ backward rule, and :func:`backward` replays the rules in reverse to produce
 parameter gradients. With no taped input an op records nothing and keeps no
 closure, which is how inference runs: the same ops on untaped tensors.
 
-Products (``matmul``, ``banded_matmul`` and the temporal conv/deconv) run
-in float32, the storage precision, forward and backward. Float64 is kept
-only where it bounds drift: the whole-tensor reductions (``sum_all``,
-``mean_axis`` and ``add``'s bias gradient) and, in :mod:`stacked_stgcn.training`,
-the losses.
+Products (``matmul``, ``banded_matmul``, the temporal conv/deconv and
+``tap_matmul``) run in float32, the storage precision, forward and
+backward. Float64 is kept only where it bounds drift: the whole-tensor
+reductions (``sum_all``, ``mean_axis`` and ``add``'s bias gradient) and,
+in :mod:`stacked_stgcn.training`, the losses.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "banded_matmul",
     "conv1d_temporal",
     "deconv1d_temporal",
+    "tap_matmul",
     "record",
     "dump_tensor",
     "load_tensor",
@@ -487,6 +488,41 @@ def deconv1d_temporal(
         return [gx, gk]
 
     return record(out.reshape(t_out * nodes, d_out), [x, kernel], grad_fn)
+
+
+def tap_matmul(x: Tensor, kernel: Tensor, taps) -> Tensor:
+    """Row r of ``x`` times tap ``taps[r]`` of a k x d_in x d_out ``kernel``.
+
+    This is a transposed convolution whose taps never overlap, on rows that
+    already sit at their output steps. One GEMM per tap, over the rows that
+    use it; a tap no row uses gets a zero gradient.
+    """
+    if x.data.ndim != 2 or kernel.data.ndim != 3:
+        raise DimensionError("tap_matmul expects x rank 2 and kernel rank 3")
+    k, d_in, d_out = kernel.shape
+    if d_in != x.shape[1]:
+        raise DimensionError(f"kernel input width {d_in} != feature width {x.shape[1]}")
+    taps = np.asarray(taps)
+    if taps.shape != x.shape[:1]:
+        raise DimensionError(f"{taps.shape} taps for {x.shape[0]} rows")
+    if taps.size and (taps.min() < 0 or taps.max() >= k):
+        raise DimensionError(f"tap index out of range for a kernel of {k} taps")
+    xd, kd = x.data, kernel.data
+    groups = [np.flatnonzero(taps == j) for j in range(k)]
+    out = np.empty((x.shape[0], d_out), dtype=DTYPE)
+    for j, rows in enumerate(groups):
+        out[rows] = xd[rows] @ kd[j]
+
+    def grad_fn(gout):
+        gx = np.empty_like(xd)
+        gk = np.zeros_like(kd)
+        for j, rows in enumerate(groups):
+            g = gout[rows]
+            gx[rows] = g @ kd[j].T
+            gk[j] = xd[rows].T @ g
+        return [gx, gk]
+
+    return record(out, [x, kernel], grad_fn)
 
 
 # ---------------------------------------------------------------------------

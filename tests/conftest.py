@@ -93,6 +93,9 @@ def op_gradient_cases(rng):
          [u(15, 2, gen=child), u(2, 2, 3, gen=child)]),
         ("deconv-nodes-crop", lambda x, k: tn.deconv1d_temporal(x, k, 2, nodes=3, steps=5),
          [u(9, 2, gen=child), u(2, 2, 3, gen=child)]),
+        # 5 rows on taps 0 and 2 of a 3-tap kernel: tap 1 has no rows
+        ("tap-matmul", lambda x, k: tn.tap_matmul(x, k, [0, 2, 2, 0, 2]),
+         [u(5, 2, gen=child), u(3, 2, 3, gen=child)]),
     ]
 
 

@@ -623,6 +623,72 @@ def test_eval_rejects_malformed_dataset_manifest(tmp_path, capsys, doc, key):
 
 
 @pytest.mark.parametrize(
+    "target", ["checkpoint", "manifest", "model-config", "out", "under-a-file"]
+)
+def test_a_directory_where_a_file_is_expected_exits_2(dataset, tmp_path, capsys, target):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    bad = str(folder)
+    if target == "under-a-file":  # a path that runs through a regular file
+        bad = str(dataset / "manifest.json" / "model.ckpt")
+    out = tmp_path / "metrics.json"
+    paths = {
+        "manifest": str(dataset / "manifest.json"),
+        "checkpoint": untrained_checkpoint(tmp_path),
+        "out": str(out),
+        "model-config": write_json(tmp_path / "model.json", MODEL_CONFIG),
+    }
+    paths["checkpoint" if target == "under-a-file" else target] = bad
+    if target == "model-config":
+        argv = ["train", "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
+                "--model-config", bad, "--seed", "0", "--out", str(tmp_path / "run")]
+    else:
+        argv = ["eval", "--checkpoint", paths["checkpoint"], "--out", paths["out"]]
+    rc = main(argv + ["--manifest", paths["manifest"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert bad in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "run").exists()
+    assert not list(folder.iterdir()) and not list(tmp_path.glob("*.tmp"))
+
+
+def flip_bytes(raw: bytes, rng) -> bytes:
+    """``raw`` with 1-4 bytes at random offsets XOR-ed with random nonzero values."""
+    edited = bytearray(raw)
+    for pos in rng.integers(len(raw), size=rng.integers(1, 5)):
+        edited[pos] ^= int(rng.integers(1, 256))
+    return bytes(edited)
+
+
+def test_eval_survives_random_byte_edits(tmp_path, capsys):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    entries = json.loads(manifest.read_text())["sequences"]
+    blob = manifest.parent / next(e["path"] for e in entries if e["split"] == "test")
+    blob = blob / "track_0.bin"
+    targets = [(ckpt, ckpt.read_bytes()), (blob, blob.read_bytes())]
+    rng = np.random.default_rng(16)
+    out = tmp_path / "metrics.json"
+    codes = {}
+    for i in range(600):
+        path, raw = targets[i % 2]
+        path.write_bytes(flip_bytes(raw, rng))
+        try:
+            rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt),
+                       "--out", str(out)])
+        finally:
+            path.write_bytes(raw)
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3) and "Traceback" not in err, (path.name, i, rc, err)
+        assert rc == 0 or not out.exists(), (path.name, i, rc)
+        if out.exists():
+            out.unlink()
+        codes[path.name, rc] = codes.get((path.name, rc), 0) + 1
+    # the edits reach both files and both outcomes: some are read, some rejected
+    assert {name for name, _ in codes} == {ckpt.name, blob.name}
+    assert {rc for _, rc in codes} >= {0, 2}, codes
+
+
+@pytest.mark.parametrize(
     "which, change, key",
     [
         ("model", {"d_model": "abc"}, "d_model"),

@@ -1,10 +1,13 @@
 """Hourglass blocks: adjacency subsampling, skip wiring, temporal extents."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from stacked_stgcn.errors import DimensionError
 from stacked_stgcn.graph import AdjacencyPair, apply_deformation
 from stacked_stgcn.hourglass import (
     DecoderLevelParams,
@@ -27,7 +30,8 @@ from stacked_stgcn.layers import (
 )
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, sample_drop_schedule, synth_generate
-from stacked_stgcn.tensor import Tensor
+from stacked_stgcn.tensor import Tensor, backward
+from stacked_stgcn.training import sequence_loss
 
 from dense_reference import (
     blocks_to_dense,
@@ -277,3 +281,86 @@ def test_head_all_absent_timestep_scores_bias(rng):
     b = Tensor(np.array([0.3, -0.7], dtype=np.float32))
     out = head_forward(h, pool, w, b)
     assert np.allclose(out.data[1], b.data, atol=1e-6)
+
+
+# -- the last decoder on pooled rows -----------------------------------------
+
+
+def full_decoder_body(model, h, levels, presence, params):
+    """The window body with the last decoder at node resolution, then the plain head."""
+    cfg = model.cfg
+    h = stack_forward(h, levels, model._blocks(params), cfg.stride, skip=cfg.skip)
+    pool = pooling_matrix(presence, levels[0].num_tracks)
+    return head_forward(h, pool, params["head/w"], params["head/b"])
+
+
+def assert_close_to_largest(actual, expected, context):
+    err = np.abs(actual - expected).max() / max(np.abs(expected).max(), 1e-30)
+    assert err <= 1e-5, f"{context}: off by {err:.2e} of the largest magnitude"
+
+
+@pytest.mark.parametrize(
+    "levels, stride, skip, stack_depth, T",
+    [
+        (1, 2, True, 1, 13),
+        (1, 3, False, 2, 7),
+        (2, 2, True, 2, 13),
+        (2, 3, False, 1, 13),
+        (3, 2, False, 2, 13),
+        (3, 3, True, 1, 31),
+    ],
+)
+def test_pooled_head_matches_the_full_decoder(levels, stride, skip, stack_depth, T):
+    cfg = ModelConfig(
+        cluster_feature_lens=(3, 4), num_classes=3, d_model=8, levels=levels, stride=stride,
+        stack_depth=stack_depth, skip=skip, span=2,
+    )
+    synth_cfg = SynthConfig(
+        num_classes=3, cluster_feature_lens=(3, 4), t_range=(T, T), temporal_span=2
+    )
+    seq, _ = synth_generate(synth_cfg, T)
+    # no node is present at timestep 1, and some are missing elsewhere
+    drops = [(n, 1) for n in range(seq.num_tracks)]
+    drops += sample_drop_schedule(seq, 0.2, np.random.default_rng(T))
+    seq = apply_deformation(seq, drops)
+    assert T % stride**levels and not flat_presence(seq).reshape(T, -1)[1].any()
+
+    model = StgcnModel(cfg, seed=levels)
+    oracle = StgcnModel.from_params(cfg, model.params)
+    oracle._body = functools.partial(full_decoder_body, oracle)
+    runs = []
+    for m in (model, oracle):
+        tape, taped, scores = m.forward_taped(seq)
+        grads = backward(tape, sequence_loss(scores, seq, "single"))
+        runs.append((scores.data, {path: grads[t.tid] for path, t in taped.items()}))
+    (scores, grads), (want_scores, want_grads) = runs
+    assert_close_to_largest(scores, want_scores, "scores")
+    for path, want in want_grads.items():
+        assert_close_to_largest(grads[path], want, path)
+    # untaped on folded weights: a window padded past the end, and two inside
+    for starts, window in (([0], T + 5), ([0, 2], T - 2)):
+        got = model.score_windows(seq, starts, window)
+        want = oracle.score_windows(seq, starts, window)
+        for start, a, b in zip(starts, got, want):
+            assert_close_to_largest(a, b, f"window [{start}, {start + window})")
+
+
+def test_pooled_head_rejects_a_kernel_whose_taps_differ_from_the_stride(rng):
+    presence = np.ones(8, dtype=bool)  # T=4, N=2
+    h = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32))  # level 1: 2 steps x 2 nodes
+    w = Tensor(rng.uniform(-1, 1, (3, 2)).astype(np.float32))
+    kernel = Tensor(rng.uniform(-1, 1, (3, 3, 3)).astype(np.float32))
+    decoder = [(pooling_matrix(presence, 2), kernel, None)]
+    with pytest.raises(DimensionError, match="3 taps, stride is 2"):
+        head_forward(h, pooling_matrix(presence, 2, 2), w, None, decoder, stride=2)
+
+
+@pytest.mark.parametrize("phases", [1, 2, 3, 4])
+def test_pooling_phases_reshape_the_per_timestep_rows(phases):
+    T, N = 7, 3
+    presence = np.random.default_rng(phases).random(T * N) < 0.6
+    pool = pooling_matrix(presence, N, phases)
+    assert pool.shape == (-(-T // phases), 1, phases, N)
+    rows = pool.reshape(-1, N)
+    assert np.array_equal(rows[:T], pooling_matrix(presence, N)[:, 0, 0])
+    assert not rows[T:].any()

@@ -216,6 +216,31 @@ def test_deconv_crop_beyond_output_rejected():
         tn.deconv1d_temporal(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1, 1))), 2, steps=5)
 
 
+def test_tap_matmul_matches_a_per_row_loop(rng):
+    x = rng.uniform(-1, 1, (7, 3)).astype(np.float32)
+    k = rng.uniform(-1, 1, (3, 3, 4)).astype(np.float32)
+    taps = np.array([2, 0, 0, 1, 2, 2, 0])
+    out = tn.tap_matmul(Tensor(x), Tensor(k), taps)
+    expected = np.stack([x[r].astype(np.float64) @ k[taps[r]] for r in range(7)])
+    assert out.shape == (7, 4)
+    assert np.abs(out.data - expected).max() <= 1e-6
+
+
+def test_tap_matmul_gives_an_unused_tap_a_zero_gradient(rng):
+    tape = Tape()
+    x = tape.watch(rng.uniform(-1, 1, (4, 2)).astype(np.float32))
+    k = tape.watch(rng.uniform(-1, 1, (3, 2, 2)).astype(np.float32))
+    grads = backward(tape, tn.sum_all(tn.tap_matmul(x, k, [0, 2, 0, 2])))
+    assert not grads[k.tid][1].any()
+    assert grads[k.tid][0].any() and grads[k.tid][2].any()
+
+
+@pytest.mark.parametrize("taps", [[0, 1, 2], [0, -1, 1], [0, 1]], ids=["past-k", "negative", "short"])
+def test_tap_matmul_rejects_bad_taps(taps):
+    with pytest.raises(DimensionError):
+        tn.tap_matmul(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2, 2))), taps)
+
+
 # -- tape contracts ----------------------------------------------------------
 
 
