@@ -1,8 +1,9 @@
 """Command-line surface: synth, ingest, train, infer, eval, gradcheck.
 
 Exit codes: 0 on success, 2 on validation or configuration errors (missing,
-truncated or unreadable input files and unwritable outputs included), 3 on
-numerical failures (NaN loss, failed gradient check).
+truncated or unreadable input files, unwritable outputs, and inputs such as a
+huge window that need more memory than there is included), 3 on numerical
+failures (NaN loss, failed gradient check).
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValidationError, ContractError, DimensionError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a window too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -90,10 +90,6 @@ class AdjacencyPair:
     num_steps: int
 
 
-def flat_index(track: int, t: int, num_tracks: int) -> int:
-    return t * num_tracks + track
-
-
 def _edge_table(rows, width: int, name: str) -> np.ndarray:
     """Rows of ``width`` finite numbers, whole but for the weight, as read-only float64."""
     try:

@@ -9,9 +9,10 @@ outputs when skip connections are on. Temporal extents that do not divide
 by the stride are zero-padded before the strided convolution and cropped
 after upsampling, so a block always returns the temporal extent it was fed.
 
-Only the head reads the last block's output, through a per-timestep node
-mean. A decoder without STGCN layers is linear, so :func:`head_forward`
-can take that mean first and run the decoder on one row per timestep.
+A decoder level is a transposed convolution and a skip add, with no
+STGCN layer: the decoder is linear. Only the head reads the last block's
+output, through a per-timestep node mean, so :func:`head_forward` can take
+that mean first and run the last decoder on one row per timestep.
 """
 
 from __future__ import annotations
@@ -118,16 +119,10 @@ class EncoderLevelParams:
 
 
 @dataclass
-class DecoderLevelParams:
-    deconv_kernel: Tensor
-    stgcn: Optional[StgcnLayerParams] = None
-
-
-@dataclass
 class HourglassBlockParams:
     encoder: List[EncoderLevelParams]
     bottleneck: StgcnLayerParams
-    decoder: List[DecoderLevelParams]  # index l mirrors encoder level l
+    decoder: List[Tensor]  # deconv kernels; index l mirrors encoder level l
 
 
 def hourglass_encode(
@@ -166,17 +161,10 @@ def hourglass_forward(
     num_tracks = levels[0].num_tracks
     for l in reversed(range(len(params.decoder))):
         x = temporal_deconv_flat(
-            x,
-            params.decoder[l].deconv_kernel,
-            stride,
-            num_tracks,
-            levels[l + 1].num_steps,
-            levels[l].num_steps,
+            x, params.decoder[l], stride, num_tracks, levels[l + 1].num_steps, levels[l].num_steps
         )
         if skip:
             x = tn.add(x, skips[l])
-        if params.decoder[l].stgcn is not None:
-            x = stgcn_layer(x, levels[l].ns, levels[l].nt, params.decoder[l].stgcn)
     return x
 
 
@@ -208,9 +196,9 @@ def head_forward(
     T x N_t matrix) for the level of ``h``. With no ``decoder``, ``h`` is at
     level 0 and ``pool`` has one row per timestep.
 
-    ``decoder`` is a decoder without STGCN layers that takes ``h`` from
-    level L back to level 0, as (pool, deconv kernel, skip or None) per
-    level from L-1 down to 0; level l's pool is
+    ``decoder`` is a block's decoder, taking ``h`` from level L back to
+    level 0, as (pool, deconv kernel, skip or None) per level from L-1
+    down to 0; level l's pool is
     ``pooling_matrix(presence, N, stride ** l)`` and ``pool`` is level L's.
     Its deconvs and skip adds are linear and, with kernel size = stride,
     give each level-0 step t one tap per level, ``(t // stride**l) % stride``,

@@ -12,10 +12,10 @@ rows as they are.
 
 The forward splits into a row prefix (harmonization and centering, which
 act within a timestep) and a window body (the hourglass stack and the
-head). Unless the decoders have STGCN layers, the head pools the last
-block's bottleneck and skips and runs that block's decoder on the pooled
-rows (see :func:`stacked_stgcn.hourglass.head_forward`). Training runs
-both on one window with taped parameters. Inference
+head). Decoders are transposed convolutions and skip adds only, so the head
+pools the last block's bottleneck and skips and runs that block's decoder
+on the pooled rows (see :func:`stacked_stgcn.hourglass.head_forward`).
+Training runs both on one window with taped parameters. Inference
 runs them untaped on the :func:`fold_parameters` set, in which the prefix
 does the first layer's weight product, each layer after an encoder conv
 none and every other layer one; :meth:`StgcnModel.score_windows` runs the
@@ -36,7 +36,6 @@ from .config import DictCodec
 from .errors import ConfigurationError, ValidationError
 from .graph import AdjacencyPair, StgSequence, build_adjacency, slice_adjacency
 from .hourglass import (
-    DecoderLevelParams,
     EncoderLevelParams,
     HourglassBlockParams,
     build_level_adjacency,
@@ -68,7 +67,7 @@ class ModelConfig(DictCodec):
     stride: int = 2
     stack_depth: int = 1
     skip: bool = True
-    decoder_stgcn: bool = False
+    decoder_stgcn: bool = False  # kept because every checkpoint header holds it; true is refused
     center_input: bool = True
     gcn_bias: bool = False
 
@@ -89,6 +88,8 @@ class ModelConfig(DictCodec):
             raise ConfigurationError("projection mode needs node_type_clusters")
         if self.levels < 0 or self.stride < 1 or self.stack_depth < 1:
             raise ConfigurationError("bad hourglass geometry")
+        if self.decoder_stgcn:
+            raise ConfigurationError("decoder_stgcn: decoders have no STGCN layers; must be false")
 
 
 def _fan_in_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int):
@@ -129,8 +130,6 @@ def parameter_table(cfg: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], Option
         stgcn(f"block{b}/bottleneck", hetero_first and cfg.levels == 0)
         for l in range(cfg.levels):
             table[f"block{b}/dec{l}/deconv"] = ((k, d, d), d)
-            if cfg.decoder_stgcn:
-                stgcn(f"block{b}/dec{l}", False)
     table["head/w"] = ((d, cfg.num_classes), d)
     table["head/b"] = ((cfg.num_classes,), None)
     return table
@@ -298,15 +297,7 @@ class StgcnModel:
                     for l in range(cfg.levels)
                 ],
                 bottleneck=self._layer_params(params, f"block{b}/bottleneck"),
-                decoder=[
-                    DecoderLevelParams(
-                        deconv_kernel=params[f"block{b}/dec{l}/deconv"],
-                        stgcn=self._layer_params(params, f"block{b}/dec{l}")
-                        if cfg.decoder_stgcn
-                        else None,
-                    )
-                    for l in range(cfg.levels)
-                ],
+                decoder=[params[f"block{b}/dec{l}/deconv"] for l in range(cfg.levels)],
             )
             for b in range(cfg.stack_depth)
         ]
@@ -314,26 +305,19 @@ class StgcnModel:
     def _body(self, h: Tensor, levels, presence: np.ndarray, params) -> Tensor:
         """Class scores of one window's prefix rows ``h``, given its levels and presence.
 
-        Without decoder STGCN layers, no ReLU follows the last block's
-        decoder, so :func:`head_forward` runs it on pooled rows.
+        No ReLU follows the last block's decoder, so :func:`head_forward`
+        runs it on pooled rows.
         """
         cfg, N = self.cfg, levels[0].num_tracks
         blocks = self._blocks(params)
-        skips, depth = [], 0
-        if cfg.decoder_stgcn:
-            h = stack_forward(h, levels, blocks, cfg.stride, skip=cfg.skip)
-        else:
-            h = stack_forward(h, levels, blocks[:-1], cfg.stride, skip=cfg.skip)
-            h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
-            depth = cfg.levels
-        pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(depth + 1)]
+        h = stack_forward(h, levels, blocks[:-1], cfg.stride, skip=cfg.skip)
+        h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
+        pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(cfg.levels + 1)]
         decoder = [
-            (pools[l], blocks[-1].decoder[l].deconv_kernel, skips[l] if cfg.skip else None)
-            for l in reversed(range(depth))
+            (pools[l], blocks[-1].decoder[l], skips[l] if cfg.skip else None)
+            for l in reversed(range(cfg.levels))
         ]
-        return head_forward(
-            h, pools[depth], params["head/w"], params["head/b"], decoder, cfg.stride
-        )
+        return head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
 
     def forward_taped(self, seq: StgSequence, levels=None):
         """Run the model on one sequence; returns (tape, taped params, scores)."""

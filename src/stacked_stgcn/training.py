@@ -9,6 +9,7 @@ exponential step schedule lr(e) = lr0 * drop^floor(e / step).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -35,8 +36,10 @@ class TrainConfig(DictCodec):
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValidationError("lr0 must be positive")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValidationError("lr0 must be finite and positive")
+        if not 0 <= self.momentum < 1:
+            raise ValidationError("momentum must be in [0, 1)")
         if not 0 < self.sched_drop <= 1:
             raise ValidationError("sched_drop must be in (0, 1]")
         if min(self.sched_step, self.max_window, self.epochs) < 1 or self.seed < 0:

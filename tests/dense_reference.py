@@ -9,7 +9,12 @@ compare the two layouts.
 
 import numpy as np
 
-from stacked_stgcn.graph import flat_index, validate_sequence
+from stacked_stgcn.graph import validate_sequence
+
+
+def flat_index(track, t, num_tracks):
+    """The flat node-time row of ``track`` at timestep ``t`` (time-major)."""
+    return t * num_tracks + track
 
 
 def blocks_to_dense(blocks):

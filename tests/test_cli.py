@@ -311,6 +311,25 @@ def test_hop_longer_than_window_exits_2(dataset, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["infer", "train"])
+def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, command):
+    # 10**15 steps: the first allocation asks for petabytes and fails at once
+    huge = 10**15
+    out = tmp_path / "out"
+    if command == "infer":
+        argv = ["--checkpoint", untrained_checkpoint(tmp_path), "--window", str(huge)]
+    else:
+        argv = ["--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+                "--train-config", write_json(tmp_path / "train.json",
+                                             dict(TRAIN_CONFIG, max_window=huge)),
+                "--seed", "0"]
+    rc = main([command, "--manifest", str(dataset / "manifest.json"), "--out", str(out), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and "Traceback" not in err
+    assert not out.is_file() and not list(tmp_path.glob("out/*"))
+
+
 def test_multi_label_pipeline(tmp_path):
     synth = {
         "synth": dict(SYNTH_CONFIG["synth"], mode="multi"),
@@ -455,6 +474,23 @@ def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, capsys, cut, key
     if key is not None:
         err = capsys.readouterr().err
         assert key in err and "shape" in err and "Traceback" not in err
+
+
+def test_eval_rejects_a_checkpoint_whose_decoders_have_stgcn_layers(tmp_path, capsys):
+    manifest, ckpt, _ = multi_label_data(tmp_path)
+    raw = ckpt.read_bytes()
+    n = header_length(raw)
+    header = json.loads(raw[4:4 + n])
+    assert header["model_config"]["decoder_stgcn"] is False  # as in every header written
+    header["model_config"]["decoder_stgcn"] = True
+    blob = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[4 + n:])
+    out = tmp_path / "metrics.json"
+    rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "decoder_stgcn" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_on_non_finite_checkpoint_exits_3(tmp_path, capsys):
@@ -701,12 +737,18 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
         ("model", {"cluster_feature_lens": [3, -5]}, "cluster_feature_lens"),
         ("model", {"harmonization": "projection",
                    "node_type_clusters": [["actor", 0], ["actor", 1]]}, "node_type_clusters"),
+        ("model", {"decoder_stgcn": True}, "decoder_stgcn"),
         ("train", {"epochs": "2"}, "epochs"),
         ("train", {"max_window": 2.5}, "max_window"),
+        ("train", {"lr0": float("nan")}, "lr0"),
+        ("train", {"lr0": float("inf")}, "lr0"),
+        ("train", {"momentum": -0.5}, "momentum"),
+        ("train", {"momentum": 1.0}, "momentum"),
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
          "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
-         "epochs-string", "max-window-float"],
+         "decoder-stgcn", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
+         "momentum-negative", "momentum-one"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
     model_change, train_change = (change, {}) if which == "model" else ({}, change)

@@ -1,14 +1,16 @@
 """The checked-in dataset presets parse into valid configurations; the config codec."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stacked_stgcn.errors import ConfigurationError, ValidationError
 from stacked_stgcn.ingest import _Table
-from stacked_stgcn.model import ModelConfig
-from stacked_stgcn.synth import SynthConfig
+from stacked_stgcn.model import ModelConfig, StgcnModel
+from stacked_stgcn.synth import SynthConfig, synth_generate
 from stacked_stgcn.training import CheckpointHeader, TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -49,6 +51,25 @@ def test_presets_round_trip():
         assert ModelConfig.from_dict(model.to_dict()) == model
         train = TrainConfig.from_dict(load(f"{name}.train.json"))
         assert TrainConfig.from_dict(train.to_dict()) == train
+
+
+@pytest.mark.parametrize("name", ["cad120", "charades_i3d", "charades_vgg"])
+def test_preset_scores_depend_on_the_input(name):
+    # centering zeroes a node that is alone at its timestep; a preset whose
+    # clusters hold one track each on synthetic data must not center
+    cfg = ModelConfig.from_dict(dict(load(f"{name}.model.json"), d_model=8))
+    synth = SynthConfig(num_classes=cfg.num_classes, cluster_feature_lens=cfg.cluster_feature_lens,
+                        mode=cfg.head_mode)
+    seq, _ = synth_generate(synth, 0)
+    rng = np.random.default_rng(0)
+    perturbed = replace(seq, tracks=tuple(
+        replace(tr, features=tr.features + rng.normal(size=tr.features.shape).astype(np.float32)
+                * tr.presence[:, None])
+        for tr in seq.tracks
+    ))
+    model = StgcnModel(cfg, seed=0)
+    change = np.abs(model.forward_scores(perturbed) - model.forward_scores(seq)).max()
+    assert change > 1e-3, f"{name}: perturbing every feature moved the scores by {change:.2e}"
 
 
 def test_codec_defaults_unknown_keys_and_tuples():

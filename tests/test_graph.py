@@ -17,7 +17,6 @@ from stacked_stgcn.graph import (
     StgSequence,
     apply_deformation,
     build_adjacency,
-    flat_index,
     load_stgs,
     pad_sequence,
     save_stgs,
@@ -34,7 +33,7 @@ from stacked_stgcn.synth import (
 )
 from stacked_stgcn.evaluate import f1_score
 
-from dense_reference import blocks_to_dense, dense_build_adjacency
+from dense_reference import blocks_to_dense, dense_build_adjacency, flat_index
 
 # written by save_stgs before edges were stored as arrays; see deformed_two_cluster()
 STGS_FIXTURE = Path(__file__).parent / "data" / "deformed_two_cluster.stgs"

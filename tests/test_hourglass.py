@@ -10,7 +10,6 @@ from dataclasses import replace
 from stacked_stgcn.errors import DimensionError
 from stacked_stgcn.graph import AdjacencyPair, apply_deformation
 from stacked_stgcn.hourglass import (
-    DecoderLevelParams,
     EncoderLevelParams,
     HourglassBlockParams,
     build_level_adjacency,
@@ -192,7 +191,7 @@ def build_one_level_block(rng, d, zero_decoder=False):
     return HourglassBlockParams(
         encoder=[EncoderLevelParams(stgcn=layer_params(rng, 4, d, d), conv_kernel=Tensor(conv))],
         bottleneck=layer_params(rng, 2, d, d),
-        decoder=[DecoderLevelParams(deconv_kernel=Tensor(deconv))],
+        decoder=[Tensor(deconv)],
     )
 
 

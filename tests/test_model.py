@@ -45,7 +45,6 @@ def test_per_cluster_first_layer_keys():
     "knob, added",
     [
         ("gcn_bias", {"block0/enc0/bias", "block0/bottleneck/bias"}),
-        ("decoder_stgcn", {"block0/dec0/ws", "block0/dec0/wt"}),
     ],
 )
 def test_knob_parameters_and_gradients(knob, added):
@@ -99,13 +98,12 @@ def with_nonzero_biases(model, seed=1):
         preset("charades_i3d"),
         preset("charades_vgg"),
         tiny_config(gcn_bias=True),
-        tiny_config(decoder_stgcn=True),
         replace(tiny_config(), levels=0),
         tiny_config(stack_depth=2),
         tiny_config(center_input=False),
-        preset("charades_vgg", levels=0, gcn_bias=True, decoder_stgcn=True),
+        preset("charades_vgg", levels=0, gcn_bias=True),
     ],
-    ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "decoder_stgcn", "levels0",
+    ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "levels0",
          "stack_depth2", "no_centering", "vgg_levels0_bias"],
 )
 def test_forward_scores_match_taped_forward(cfg):
@@ -146,11 +144,10 @@ def assert_windows_match_per_window_loop(model, seq, window, hop):
         tiny_config(gcn_bias=True),
         replace(tiny_config(), levels=0),
         tiny_config(stack_depth=2),
-        tiny_config(decoder_stgcn=True),
         tiny_config(center_input=False),
     ],
     ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "levels0", "stack_depth2",
-         "decoder_stgcn", "no_centering"],
+         "no_centering"],
 )
 @pytest.mark.parametrize(
     "window, hop",
