@@ -114,7 +114,6 @@ def cmd_train(args) -> int:
     train_cfg = replace(_read(TrainConfig, args.train_config, "train config"), seed=args.seed)
     data = [seq for _, seq in _load_manifest(args.manifest, "train")]
     _refuse_overwrite(args.out, args.force)
-    os.makedirs(args.out, exist_ok=True)
     model, curve = train(data, model_cfg, train_cfg, out_dir=args.out)
     print(f"trained {train_cfg.epochs} epochs; final loss {curve[-1].loss:.6f}")
     return 0

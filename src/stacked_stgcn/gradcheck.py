@@ -7,7 +7,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .graph import StgSequence
+from .graph import StgSequence, Window
 from .model import StgcnModel
 from .tensor import DTYPE, backward
 from .training import sequence_loss
@@ -43,18 +43,19 @@ def check_model_gradients(
     kink, where the central difference is no derivative: it is skipped,
     counted in ``kinked`` and not in ``checked`` or ``max_abs_err``.
     """
-    levels = model.prepare_levels(seq)
-    tape, taped, scores = model.forward_taped(seq, levels=levels)
-    loss = sequence_loss(scores, seq, mode)
+    window = Window(seq)
+    levels = model.prepare_levels(window)  # constant: built once, not per forward
+    tape, taped, scores = model.forward_taped(window, levels=levels)
+    loss = sequence_loss(scores, window, mode)
     base_masks = tape.relu_masks()
     grads_by_id = backward(tape, loss)
     analytic = {path: grads_by_id[t.tid] for path, t in taped.items()}
 
     def loss_value() -> Tuple[float, bool]:
         """The loss at the current parameters, and whether a ReLU mask differs from the base."""
-        t, _, s = model.forward_taped(seq, levels=levels)
+        t, _, s = model.forward_taped(window, levels=levels)
         kinked = any(not np.array_equal(m, b) for m, b in zip(t.relu_masks(), base_masks))
-        return float(sequence_loss(s, seq, mode).data), kinked
+        return float(sequence_loss(s, window, mode).data), kinked
 
     rng = np.random.default_rng(seed)
     reports = []

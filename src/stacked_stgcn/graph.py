@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,41 @@ class StgSequence:
     @property
     def num_tracks(self) -> int:
         return len(self.tracks)
+
+
+@dataclass(frozen=True)
+class Window:
+    """Timesteps [start, start+length) of a sequence: a range-checked view that copies nothing.
+
+    ``length`` defaults to the rest of the sequence. Only a window from 0 may
+    run past T; its steps there are absent and masked out, as in :func:`pad_sequence`.
+    """
+
+    seq: StgSequence
+    start: int = 0
+    length: Optional[int] = None
+
+    def __post_init__(self):
+        length = self.seq.num_steps - self.start if self.length is None else self.length
+        if self.start < 0 or length < 1 or self.start + length > max(self.seq.num_steps, length):
+            raise ValidationError("window out of range")
+        object.__setattr__(self, "length", length)
+
+    @property
+    def steps(self) -> slice:
+        return slice(self.start, self.start + self.length)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return _zero_padded(self.seq.labels[self.steps], self.length)
+
+    @property
+    def label_mask(self) -> np.ndarray:
+        return _zero_padded(self.seq.label_mask[self.steps], self.length)
+
+
+def _zero_padded(rows: np.ndarray, length: int) -> np.ndarray:
+    return np.pad(rows, [(0, length - len(rows))] + [(0, 0)] * (rows.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -178,51 +213,37 @@ def build_adjacency(
     seq: StgSequence,
     span: int,
     cross_cluster_in_temporal: bool = False,
+    start: int = 0,
+    length: Optional[int] = None,
 ) -> AdjacencyPair:
-    """Assemble raw spatial and temporal adjacency for a sequence.
+    """Raw spatial and temporal adjacency of the :class:`Window` ``(seq, start, length)``.
 
-    A_s carries intra-cluster spatial edges, block-diagonal over time. A_t
-    carries temporal edges with gap delta in [1, span] in a band of half-width
-    min(span, T - 1) (see :class:`AdjacencyPair`); when
+    The window is the whole sequence by default. Edges with both ends inside
+    it are kept, shifted by ``start``, so the blocks equal those of the
+    :func:`slice_sequence` or :func:`pad_sequence` window. A_s carries
+    intra-cluster spatial edges, block-diagonal over time. A_t carries
+    temporal edges with gap delta in [1, span] in a band of half-width
+    min(span, length - 1) (see :class:`AdjacencyPair`); when
     ``cross_cluster_in_temporal`` is set, spatial edges between tracks of
     different clusters are folded into A_t instead of A_s. Weights are
     symmetrized by max.
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
-    T, N = seq.num_steps, seq.num_tracks
-    a_s = blocks.zeros(T, 0, N, DTYPE)
-    a_t = blocks.zeros(T, span, N, DTYPE)
+    L, N = Window(seq, start, length).length, seq.num_tracks
+    a_s = blocks.zeros(L, 0, N, DTYPE)
+    a_t = blocks.zeros(L, span, N, DTYPE)
     cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
     for ends in _edge_ends(seq):
-        i, t, j, u = ends[:4].astype(np.intp)
+        i, t, j, u = ends[:4].astype(np.intp) - [[0], [start], [0], [start]]  # window steps
         w, delta = ends[4].astype(DTYPE), u - t
         # spatial self loops are dropped; the normalization adds its own
-        keep = ((i != j) | (delta > 0)) & (delta <= span)
+        keep = ((i != j) | (delta > 0)) & (delta <= span) & (t >= 0) & (u < L)
         to_t = keep & ((delta > 0) | (cross_cluster_in_temporal & (cluster[i] != cluster[j])))
         to_s = keep & ~to_t
         blocks.raise_symmetric(a_s, t[to_s], 0, i[to_s], j[to_s], w[to_s])
         blocks.raise_symmetric(a_t, t[to_t], delta[to_t], i[to_t], j[to_t], w[to_t])
-    return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=T)
-
-
-def slice_adjacency(adj: AdjacencyPair, start: int, length: int, span: int) -> AdjacencyPair:
-    """The raw adjacency of the window [start, start+length) of ``adj``'s sequence.
-
-    It equals :func:`build_adjacency` of :func:`slice_sequence` (or, for the
-    one window of a shorter sequence, of :func:`pad_sequence`) at the same
-    ``span``: edges that cross the window border are dropped and the
-    temporal band narrows to min(span, length - 1).
-    """
-    T = adj.num_steps
-    if start < 0 or length < 1 or start + length > max(T, length):
-        raise ValidationError("window out of range")
-    return AdjacencyPair(
-        a_s=blocks.window(adj.a_s, start, length, 0),
-        a_t=blocks.window(adj.a_t, start, length, span),
-        num_tracks=adj.num_tracks,
-        num_steps=length,
-    )
+    return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=L)
 
 
 def apply_deformation(

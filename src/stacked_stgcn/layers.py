@@ -164,9 +164,11 @@ def harmonize_projection(
     Tracks are grouped by their ``group_by`` attribute (``node_type`` or
     ``cluster_id``) and each group owns one 1x1 convolution kernel (a plain
     matmul on the feature vector). Absent nodes keep zero rows. Only the
-    timesteps in ``steps`` are projected; the output holds their rows.
+    timesteps in ``steps`` are projected; the output holds their rows, and
+    zero rows past T, as :func:`stacked_stgcn.graph.pad_sequence` pads them.
     """
-    N, T = seq.num_tracks, len(range(seq.num_steps)[steps])
+    lo, hi, _ = steps.indices(max(seq.num_steps, steps.stop or 0))
+    N, T = seq.num_tracks, hi - lo
     groups: Dict[object, List[int]] = {}
     for n, tr in enumerate(seq.tracks):
         groups.setdefault(getattr(tr, group_by), []).append(n)
@@ -175,11 +177,14 @@ def harmonize_projection(
         if key not in kernels:
             raise ConfigurationError(f"no projection kernel for {group_by} {key!r}")
         kernel = kernels[key]
-        feats = np.concatenate([seq.tracks[n].features[steps] for n in track_ids], axis=0)
-        if feats.shape[1] != kernel.shape[0]:
-            raise ConfigurationError(
-                f"kernel for {key!r} expects width {kernel.shape[0]}, got {feats.shape[1]}"
-            )
+        feats = np.zeros((len(track_ids) * T, kernel.shape[0]), dtype=DTYPE)
+        for k, n in enumerate(track_ids):  # T rows per track, zero past the end
+            rows = seq.tracks[n].features[lo:hi]
+            if rows.shape[1] != kernel.shape[0]:
+                raise ConfigurationError(
+                    f"kernel for {key!r} expects width {kernel.shape[0]}, got {rows.shape[1]}"
+                )
+            feats[k * T : k * T + len(rows)] = rows
         inputs.append((_track_rows(np.asarray(track_ids), N, T), Tensor(feats), kernel))
     return spatial_project(inputs, N * T)
 

@@ -15,12 +15,12 @@ act within a timestep) and a window body (the hourglass stack and the
 head). Decoders are transposed convolutions and skip adds only, so the head
 pools the last block's bottleneck and skips and runs that block's decoder
 on the pooled rows (see :func:`stacked_stgcn.hourglass.head_forward`).
-Training runs both on one window with taped parameters. Inference
-runs them untaped on the :func:`fold_parameters` set, in which the prefix
-does the first layer's weight product, each layer after an encoder conv
-none and every other layer one; :meth:`StgcnModel.score_windows` runs the
-prefix and the raw adjacency once per sequence and the body once per
-window.
+Training runs both on one :class:`~stacked_stgcn.graph.Window` with taped
+parameters. Inference runs them untaped on the :func:`fold_parameters` set,
+in which the prefix does the first layer's weight product, each layer after
+an encoder conv none and every other layer one. :meth:`StgcnModel.score_windows`
+runs the prefix once per sequence; every window, taped or not, gets its own
+levels from :meth:`StgcnModel.prepare_levels` and runs the body.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import tensor as tn
 from .config import DictCodec
 from .errors import ConfigurationError, ValidationError
-from .graph import AdjacencyPair, StgSequence, build_adjacency, slice_adjacency
+from .graph import StgSequence, Window, build_adjacency
 from .hourglass import (
     EncoderLevelParams,
     HourglassBlockParams,
@@ -199,7 +199,7 @@ class ParameterStore(dict):
 class StgcnModel:
     """A :class:`ParameterStore` plus the forward pass over one sequence.
 
-    ``forward_taped`` runs it on taped parameters, for training.
+    ``forward_taped`` runs it on one window with taped parameters, for training.
     ``score_windows`` runs the same forward on the untaped
     :func:`fold_parameters` set, built once per store version, over many
     windows of one sequence; ``forward_scores`` is its one-window case.
@@ -250,13 +250,11 @@ class StgcnModel:
             bias=params.get(f"{prefix}/bias"),
         )
 
-    def _adjacency(self, seq: StgSequence) -> AdjacencyPair:
+    def prepare_levels(self, window: Window):
+        """The window's normalized per-level adjacency, for one forward or several."""
         cross = self.cfg.harmonization == "per-cluster-gcn"
-        return build_adjacency(seq, self.cfg.span, cross_cluster_in_temporal=cross)
-
-    def prepare_levels(self, seq: StgSequence):
-        """Precompute normalized per-level adjacency for repeated forwards."""
-        return build_level_adjacency(self._adjacency(seq), self.cfg.levels, self.cfg.stride)
+        adj = build_adjacency(window.seq, self.cfg.span, cross, window.start, window.length)
+        return build_level_adjacency(adj, self.cfg.levels, self.cfg.stride)
 
     def _check(self, seq: StgSequence) -> None:
         cfg = self.cfg
@@ -270,8 +268,16 @@ class StgcnModel:
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
 
+    @staticmethod
+    def _presence(seq: StgSequence, steps: slice) -> np.ndarray:
+        """Flat presence of the timesteps ``steps``, which are absent past T."""
+        N, T = seq.num_tracks, seq.num_steps
+        presence = np.zeros(max(T, steps.stop) * N, dtype=bool)
+        presence[: T * N] = flat_presence(seq)
+        return presence[steps.start * N : steps.stop * N]
+
     def _prefix(self, seq: StgSequence, params, presence: np.ndarray, steps: slice) -> Tensor:
-        """Harmonized and centered rows of the timesteps ``steps``; ``presence`` is the sequence's.
+        """Harmonized and centered rows of the timesteps ``steps``, whose flat presence is given.
 
         On folded parameters the rows also get the first layer's weight.
         """
@@ -280,8 +286,7 @@ class StgcnModel:
         group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
         h = harmonize_projection(seq, kernels, group_by=group_by, steps=steps)
         if cfg.center_input:
-            N = seq.num_tracks
-            h = subtract_mean(h, presence[steps.start * N : steps.stop * N], N)
+            h = subtract_mean(h, presence, seq.num_tracks)
         w = params.get(PREFIX_WEIGHT)  # folded parameters only
         return h if w is None else tn.matmul(h, w)
 
@@ -319,15 +324,16 @@ class StgcnModel:
         ]
         return head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
 
-    def forward_taped(self, seq: StgSequence, levels=None):
-        """Run the model on one sequence; returns (tape, taped params, scores)."""
+    def forward_taped(self, window: Window, levels=None):
+        """Tape, taped params and scores of one window, on its :meth:`prepare_levels` if given."""
+        seq, steps = window.seq, window.steps
         self._check(seq)
         if levels is None:
-            levels = self.prepare_levels(seq)
+            levels = self.prepare_levels(window)
         tape = Tape()
         taped = {path: tape.watch(arr) for path, arr in self.params.items()}
-        presence = flat_presence(seq)
-        h = self._prefix(seq, taped, presence, slice(0, seq.num_steps))
+        presence = self._presence(seq, steps)
+        h = self._prefix(seq, taped, presence, steps)
         return tape, taped, self._body(h, levels, presence, taped)
 
     def _inference_params(self) -> Dict[str, Tensor]:
@@ -345,29 +351,25 @@ class StgcnModel:
     ) -> List[np.ndarray]:
         """Class scores (window x C) of each window [start, start+window) of ``seq``, untaped.
 
-        The prefix rows (in window-length chunks of steps) and the raw
-        adjacency are computed once per sequence; each window slices its
-        rows and adjacency blocks from them and normalizes its own levels.
-        A sequence shorter than the window is zero-padded to it, as in
+        The prefix rows are computed once per sequence, in window-length
+        chunks of steps; each window takes its rows from them and builds
+        its own levels (:meth:`prepare_levels`). A sequence shorter than
+        the window is zero-padded to it, as in
         :func:`stacked_stgcn.graph.pad_sequence`; its one window starts at 0.
         """
         self._check(seq)
         if window < 1:
             raise ValidationError("window must be >= 1")
-        cfg, params = self.cfg, self._inference_params()
-        N, T = seq.num_tracks, seq.num_steps
-        presence = np.zeros(max(T, window) * N, dtype=bool)
-        presence[: T * N] = flat_presence(seq)
-        rows = np.zeros((len(presence), cfg.d_model), dtype=DTYPE)
+        params, N, T = self._inference_params(), seq.num_tracks, seq.num_steps
+        presence = self._presence(seq, slice(0, max(T, window)))
+        rows = np.zeros((len(presence), self.cfg.d_model), dtype=DTYPE)
         for lo in range(0, T, window):
             steps = slice(lo, min(lo + window, T))
-            rows[lo * N : steps.stop * N] = self._prefix(seq, params, presence, steps).data
-        adj = self._adjacency(seq)
+            chunk = slice(lo * N, steps.stop * N)
+            rows[chunk] = self._prefix(seq, params, presence[chunk], steps).data
         scores = []
         for start in starts:
-            levels = build_level_adjacency(
-                slice_adjacency(adj, start, window, cfg.span), cfg.levels, cfg.stride
-            )
+            levels = self.prepare_levels(Window(seq, start, window))
             win = slice(start * N, (start + window) * N)
             scores.append(self._body(Tensor(rows[win]), levels, presence[win], params).data)
         return scores

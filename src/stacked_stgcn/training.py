@@ -1,9 +1,9 @@
 """Losses, optimizer, learning-rate schedule, training loop, checkpoints.
 
-Training consumes one windowed sequence per optimizer step: sequences longer
-than the window are cropped at a random start, shorter ones are zero-padded
-with the padding masked out of the loss. The optimizer is plain SGD with an
-exponential step schedule lr(e) = lr0 * drop^floor(e / step).
+Training consumes one :class:`~stacked_stgcn.graph.Window` view per optimizer
+step: sequences longer than the window are cropped at a random start, shorter
+ones are zero-padded with the padding masked out of the loss. The optimizer is
+plain SGD with an exponential step schedule lr(e) = lr0 * drop^floor(e / step).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DictCodec, atomic_write
 from .errors import NumericalError, ValidationError
-from .graph import StgSequence, pad_sequence, slice_sequence
+from .graph import StgSequence, Window
+from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
 from .model import ModelConfig, StgcnModel
 from .tensor import DTYPE, Tensor, backward, dump_tensor, load_tensor, record
 
@@ -101,10 +102,10 @@ def masked_ce_loss(scores: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tens
     return record(np.asarray(loss, dtype=DTYPE), [scores], grad_fn)
 
 
-def sequence_loss(scores: Tensor, seq: StgSequence, mode: str) -> Tensor:
+def sequence_loss(scores: Tensor, window: Window, mode: str) -> Tensor:
     if mode == "single":
-        return masked_ce_loss(scores, seq.labels, seq.label_mask)
-    return masked_bce_loss(scores, seq.labels, seq.label_mask)
+        return masked_ce_loss(scores, window.labels, window.label_mask)
+    return masked_bce_loss(scores, window.labels, window.label_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +138,13 @@ def sgd_step(
         params[key] = p  # the same array: bumps a ParameterStore's version
 
 
-def train_window_sample(
-    seq: StgSequence, max_window: int, rng: np.random.Generator
-) -> StgSequence:
-    """Random crop to the window length, or zero-pad with masked positions."""
+def train_window_sample(seq: StgSequence, max_window: int, rng: np.random.Generator) -> Window:
+    """``max_window`` steps from a random start, or from 0 (zero-padded) if T is shorter."""
     if max_window < 1:
         raise ValidationError("max_window must be >= 1")
     if seq.num_steps > max_window:
-        start = int(rng.integers(0, seq.num_steps - max_window + 1))
-        return slice_sequence(seq, start, max_window)
-    if seq.num_steps < max_window:
-        return pad_sequence(seq, max_window)
-    return seq
+        return Window(seq, int(rng.integers(0, seq.num_steps - max_window + 1)), max_window)
+    return Window(seq, 0, max_window)
 
 
 def leave_one_group_out(

@@ -327,7 +327,20 @@ def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, comma
     assert rc == 2
     err = capsys.readouterr().err
     assert "error: out of memory" in err and "Traceback" not in err
-    assert not out.is_file() and not list(tmp_path.glob("out/*"))
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_non_finite_first_epoch_exits_3_and_leaves_no_output(dataset, tmp_path, capsys):
+    # the first step's update is so large that the second step's forward overflows
+    out = tmp_path / "out"
+    rc = main(["train", "--manifest", str(dataset / "manifest.json"),
+               "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+               "--train-config", write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, lr0=1e30)),
+               "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_multi_label_pipeline(tmp_path):

@@ -15,12 +15,12 @@ from stacked_stgcn.graph import (
     FeatureCluster,
     NodeTrack,
     StgSequence,
+    Window,
     apply_deformation,
     build_adjacency,
     load_stgs,
     pad_sequence,
     save_stgs,
-    slice_adjacency,
     slice_sequence,
     validate_sequence,
 )
@@ -360,7 +360,7 @@ def test_sliced_window_blocks_equal_blocks_of_the_sliced_sequence(
     else:
         start = int(offset * (T - length))
         window = slice_sequence(seq, start, length)
-    got = slice_adjacency(build_adjacency(seq, span, cross), start, length, span)
+    got = build_adjacency(seq, span, cross, start, length)
     want = build_adjacency(window, span, cross)
     assert (got.num_steps, got.num_tracks) == (want.num_steps, want.num_tracks)
     for a, b in ((got.a_s, want.a_s), (got.a_t, want.a_t)):
@@ -370,14 +370,13 @@ def test_sliced_window_blocks_equal_blocks_of_the_sliced_sequence(
 
 def test_sliced_window_blocks_drop_edges_across_the_border():
     seq = load_stgs(str(STGS_FIXTURE))
-    adj = build_adjacency(seq, 2)
     for start, length in ((3, 5), (0, 2), (4, 1), (0, 12)):
         window = slice_sequence(seq, start, length)
         crossing = (seq.temporal_edges[:, 1] < start + length) & (
             seq.temporal_edges[:, 3] >= start + length
         )
         assert crossing.any() or start + length == 12
-        got = slice_adjacency(adj, start, length, 2)
+        got = build_adjacency(seq, 2, start=start, length=length)
         assert got.a_t.shape[1] == 2 * min(2, length - 1) + 1  # the band narrows
         assert np.array_equal(got.a_t, build_adjacency(window, 2).a_t)
         assert np.array_equal(got.a_s, build_adjacency(window, 2).a_s)
@@ -385,9 +384,11 @@ def test_sliced_window_blocks_drop_edges_across_the_border():
 
 @pytest.mark.parametrize("start, length", [(-1, 3), (10, 3), (1, 13), (0, 0)])
 def test_sliced_window_out_of_range_rejected(start, length):
-    adj = build_adjacency(load_stgs(str(STGS_FIXTURE)), 2)
-    with pytest.raises(ValidationError):
-        slice_adjacency(adj, start, length, 2)
+    seq = load_stgs(str(STGS_FIXTURE))  # T = 12
+    with pytest.raises(ValidationError, match="window out of range"):
+        Window(seq, start, length)
+    with pytest.raises(ValidationError, match="window out of range"):
+        build_adjacency(seq, 2, start=start, length=length)
 
 
 def test_pad_masks_added_steps():

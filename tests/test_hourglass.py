@@ -8,7 +8,7 @@ import pytest
 from dataclasses import replace
 
 from stacked_stgcn.errors import DimensionError
-from stacked_stgcn.graph import AdjacencyPair, apply_deformation
+from stacked_stgcn.graph import AdjacencyPair, Window, apply_deformation
 from stacked_stgcn.hourglass import (
     EncoderLevelParams,
     HourglassBlockParams,
@@ -146,7 +146,7 @@ def test_level_blocks_match_dense_construction(harmonization, span, stride):
             seq = random_edges(seq, rng, span)
         seq = apply_deformation(seq, sample_drop_schedule(seq, 0.25, rng))
         N = seq.num_tracks
-        levels = StgcnModel(cfg, seed=0).prepare_levels(seq)
+        levels = StgcnModel(cfg, seed=0).prepare_levels(Window(seq))
         a_s, a_t = dense_build_adjacency(
             seq, span, cross_cluster_in_temporal=harmonization == "per-cluster-gcn"
         )
@@ -329,7 +329,7 @@ def test_pooled_head_matches_the_full_decoder(levels, stride, skip, stack_depth,
     oracle._body = functools.partial(full_decoder_body, oracle)
     runs = []
     for m in (model, oracle):
-        tape, taped, scores = m.forward_taped(seq)
+        tape, taped, scores = m.forward_taped(Window(seq))
         grads = backward(tape, sequence_loss(scores, seq, "single"))
         runs.append((scores.data, {path: grads[t.tid] for path, t in taped.items()}))
     (scores, grads), (want_scores, want_grads) = runs

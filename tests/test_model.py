@@ -10,10 +10,10 @@ import pytest
 
 from stacked_stgcn import model as model_module
 from stacked_stgcn import tensor as tn
-from stacked_stgcn.errors import ValidationError
+from stacked_stgcn.errors import ConfigurationError, ValidationError
 from stacked_stgcn.evaluate import sliding_infer, window_starts
 from stacked_stgcn.gradcheck import check_model_gradients
-from stacked_stgcn.graph import load_stgs
+from stacked_stgcn.graph import Window, load_stgs, pad_sequence, slice_sequence
 from stacked_stgcn.model import ModelConfig, StgcnModel, parameter_table
 from stacked_stgcn.synth import SynthConfig, synth_generate
 from stacked_stgcn.tensor import DTYPE, backward
@@ -109,7 +109,7 @@ def with_nonzero_biases(model, seed=1):
 def test_forward_scores_match_taped_forward(cfg):
     model = with_nonzero_biases(StgcnModel(cfg, seed=0))
     seq = sequence_for(cfg)
-    taped = model.forward_taped(seq)[2].data
+    taped = model.forward_taped(Window(seq))[2].data
     scores = model.forward_scores(seq)
     assert scores.shape == taped.shape
     assert np.abs(scores - taped).max() <= 1e-6
@@ -166,7 +166,43 @@ def test_score_windows_on_edges_across_window_borders(window, hop):
     assert_windows_match_per_window_loop(model, seq, window, hop)
 
 
-def test_score_windows_runs_prefix_and_adjacency_once_per_sequence(monkeypatch):
+def taped_run(model, window):
+    """Scores, loss, parameter gradients and tape length of one taped step on ``window``."""
+    tape, taped, scores = model.forward_taped(window)
+    records = len(tape._records)
+    loss = sequence_loss(scores, window, model.cfg.head_mode)
+    grads = backward(tape, loss)
+    return scores.data, loss.data, {path: grads[t.tid] for path, t in taped.items()}, records
+
+
+@pytest.mark.parametrize("cfg_name", ["gcn_bias", "charades_vgg"])
+def test_windows_match_the_sliced_and_padded_sequences_bit_for_bit(cfg_name):
+    if cfg_name == "gcn_bias":  # span 2, gap-bridging and cross-cluster edges, T = 12
+        cfg, seq = tiny_config(gcn_bias=True), load_stgs(str(STGS_FIXTURE))
+    else:  # the projection harmonization
+        cfg = preset("charades_vgg")
+        seq = sequence_for(cfg)
+    model = with_nonzero_biases(StgcnModel(cfg, seed=0))
+    T = seq.num_steps
+    records = []
+    # cropped with edges across both borders, flush with either end, the whole
+    # sequence (T = W) and padded (T < W)
+    for start, length in ((3, 5), (0, 5), (7, 5), (0, T), (0, T + 5)):
+        sliced = pad_sequence(seq, length) if length > T else slice_sequence(seq, start, length)
+        scores, loss, grads, n = taped_run(model, Window(seq, start, length))
+        want_scores, want_loss, want_grads, want_n = taped_run(model, Window(sliced))
+        assert np.array_equal(scores, want_scores) and np.array_equal(loss, want_loss)
+        assert grads.keys() == want_grads.keys()
+        for path, g in grads.items():
+            assert np.array_equal(g, want_grads[path]), path
+        assert n == want_n
+        records.append(n)
+    # a padded window records what a cropped one of the same parity does (an odd
+    # extent pads before the strided conv)
+    assert records[-1] == records[0]
+
+
+def test_score_windows_runs_the_prefix_per_sequence_and_adjacency_per_window(monkeypatch):
     cfg = tiny_config()
     model = StgcnModel(cfg, seed=0)
     seq = sequence_for(cfg)  # T = 12
@@ -181,8 +217,9 @@ def test_score_windows_runs_prefix_and_adjacency_once_per_sequence(monkeypatch):
         monkeypatch.setattr(model_module, name, counting)
     assert window_starts(12, 5, 2) == [0, 2, 4, 6, 7]
     sliding_infer(seq, model, window=5, hop=2)
-    # the prefix in 5-step chunks (steps 0-4, 5-9, 10-11), one raw adjacency
-    assert calls == {"harmonize_projection": 3, "build_adjacency": 1}
+    # the prefix in 5-step chunks (steps 0-4, 5-9, 10-11); each window builds its
+    # own raw adjacency from the edge tables (holding a sequence's costs memory)
+    assert calls == {"harmonize_projection": 3, "build_adjacency": 5}
 
 
 def test_score_windows_checks_classes_and_cluster_widths():
@@ -197,6 +234,18 @@ def test_score_windows_checks_classes_and_cluster_widths():
         model.score_windows(seq, [8], 5)
 
 
+def test_projection_rejects_a_node_type_whose_tracks_differ_in_width():
+    cfg = replace(tiny_config(), harmonization="projection",
+                  node_type_clusters=(("actor", 0), ("object", 1)))
+    seq = sequence_for(tiny_config())
+    # every track an actor: cluster 1's 4-wide tracks meet the 3-wide actor kernel
+    seq = replace(seq, tracks=tuple(replace(tr, node_type="actor") for tr in seq.tracks))
+    model = StgcnModel(cfg, seed=0)
+    for run in (model.forward_scores, lambda s: model.forward_taped(Window(s))):
+        with pytest.raises(ConfigurationError, match="expects width 3, got 4"):
+            run(seq)
+
+
 def test_folding_leaves_one_product_per_layer(monkeypatch):
     cfg = preset("charades_vgg")  # 2 node types, 3 blocks of 3 layers, head
     model = StgcnModel(cfg, seed=0)
@@ -209,7 +258,7 @@ def test_folding_leaves_one_product_per_layer(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(tn, "matmul", counting)
-    model.forward_taped(seq)
+    model.forward_taped(Window(seq))
     assert len(shapes) == 2 + 9 * 2 + 1
     shapes.clear()
     model.forward_scores(seq)
@@ -226,12 +275,12 @@ def test_folded_view_is_rebuilt_when_parameters_are_replaced():
     view = model._inference_params()
     assert model._inference_params() is view  # built once per parameter state
     assert all(t.tape is None for t in view.values())
-    tape, taped, scores = model.forward_taped(seq)
+    tape, taped, scores = model.forward_taped(Window(seq))
     grads = backward(tape, sequence_loss(scores, seq, "single"))
     sgd_step(model.params, {k: grads[t.tid] for k, t in taped.items()}, lr=0.5)
     after_step = model.forward_scores(seq)
     assert not np.array_equal(after_step, before)
-    assert np.abs(after_step - model.forward_taped(seq)[2].data).max() <= 1e-6
+    assert np.abs(after_step - model.forward_taped(Window(seq))[2].data).max() <= 1e-6
     model.params["head/b"] = model.params["head/b"] + DTYPE(1)
     assert np.abs(model.forward_scores(seq) - after_step - 1.0).max() <= 1e-6
 
@@ -243,13 +292,13 @@ def test_folded_view_follows_the_store_version(tmp_path):
 
     def folded_matches_taped():
         folded = model.forward_scores(seq)
-        assert np.abs(folded - model.forward_taped(seq)[2].data).max() <= 1e-6
+        assert np.abs(folded - model.forward_taped(Window(seq))[2].data).max() <= 1e-6
         return folded
 
     before = folded_matches_taped()
     arrays = dict(model.params)
     version = model.params.version
-    tape, taped, scores = model.forward_taped(seq)
+    tape, taped, scores = model.forward_taped(Window(seq))
     grads = backward(tape, sequence_loss(scores, seq, "single"))
     sgd_step(model.params, {k: grads[t.tid] for k, t in taped.items()}, lr=0.5)
     assert all(model.params[k] is arr for k, arr in arrays.items())  # updated in place

@@ -168,12 +168,16 @@ def small_sequence(T):
 
 def test_window_exact_length_passthrough():
     seq = small_sequence(50)
-    assert train_window_sample(seq, 50, np.random.default_rng(0)) is seq
+    out = train_window_sample(seq, 50, np.random.default_rng(0))
+    assert out.seq is seq and (out.start, out.length) == (0, 50)
+    assert np.array_equal(out.labels, seq.labels)
 
 
 def test_window_pads_short_sequences():
-    out = train_window_sample(small_sequence(30), 50, np.random.default_rng(0))
-    assert out.num_steps == 50
+    seq = small_sequence(30)
+    out = train_window_sample(seq, 50, np.random.default_rng(0))
+    assert out.seq is seq and (out.start, out.length) == (0, 50)
+    assert out.labels.shape == (50,) and out.labels.dtype == seq.labels.dtype
     assert int(out.label_mask.sum()) == 30
     assert not out.label_mask[30:].any()
 
@@ -183,18 +187,15 @@ def test_window_crops_long_sequences():
     starts = set()
     for trial in range(50):
         out = train_window_sample(seq, 50, np.random.default_rng(trial))
-        assert out.num_steps == 50
+        assert out.seq is seq and out.length == 50
+        assert 0 <= out.start <= 70
         # the crop is a contiguous slice of the original labels
-        found = [
-            s for s in range(0, 71)
-            if np.array_equal(seq.labels[s : s + 50], out.labels)
-        ]
-        assert found
-        starts.add(found[0])
-    assert min(starts) >= 0 and max(starts) <= 70
+        assert np.array_equal(seq.labels[out.start : out.start + 50], out.labels)
+        starts.add(out.start)
+    assert len(starts) > 1
     a = train_window_sample(seq, 50, np.random.default_rng(7))
     b = train_window_sample(seq, 50, np.random.default_rng(7))
-    assert np.array_equal(a.labels, b.labels)  # deterministic under seeded rng
+    assert a.start == b.start  # deterministic under seeded rng
 
 
 # -- training loop -----------------------------------------------------------
