@@ -1,9 +1,9 @@
 """Command-line surface: synth, ingest, train, infer, eval, gradcheck.
 
 Exit codes: 0 on success, 2 on validation or configuration errors (missing,
-truncated or unreadable input files, unwritable outputs, and inputs such as a
-huge window that need more memory than there is included), 3 on numerical
-failures (NaN loss, failed gradient check).
+truncated or unreadable input files, unwritable outputs, any other OS error,
+and inputs such as a huge window that need more memory than there is
+included), 3 on numerical failures (NaN loss, failed gradient check).
 """
 
 from __future__ import annotations
@@ -266,8 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (ValidationError, ContractError, DimensionError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (ValidationError, ContractError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # e.g. a window too large to allocate

@@ -145,9 +145,17 @@ def _edge_table(rows, width: int, name: str) -> np.ndarray:
     return table
 
 
-def _edge_ends(seq: StgSequence):
-    """Both edge tables as (5, E) arrays n1, t1, n2, t2, w: edges join (n1, t1) and (n2, t2)."""
-    return seq.spatial_edges.T[[1, 0, 2, 0, 3]], seq.temporal_edges.T[[0, 1, 2, 3, 4]]
+def _edges_within(seq: StgSequence, start: int, stop: int):
+    """The spatial and temporal edge rows with both ends in timesteps [start, stop)."""
+    spatial, temporal = seq.spatial_edges, seq.temporal_edges
+    # t_i < t_j, so a temporal edge lies inside exactly when both of its ends do
+    return (spatial[(start <= spatial[:, 0]) & (spatial[:, 0] < stop)],
+            temporal[(start <= temporal[:, 1]) & (temporal[:, 3] < stop)])
+
+
+def _edge_ends(spatial: np.ndarray, temporal: np.ndarray):
+    """Edge tables as (5, E) arrays n1, t1, n2, t2, w: edges join (n1, t1) and (n2, t2)."""
+    return spatial.T[[1, 0, 2, 0, 3]], temporal.T[[0, 1, 2, 3, 4]]
 
 
 def validate_sequence(seq: StgSequence) -> None:
@@ -159,6 +167,8 @@ def validate_sequence(seq: StgSequence) -> None:
     T, N = seq.num_steps, seq.num_tracks
     if seq.mode not in ("single", "multi"):
         raise ValidationError(f"unknown label mode {seq.mode!r}")
+    if not N:
+        raise ValidationError("sequence has no tracks")
     lens = {c.cluster_id: c.feature_len for c in seq.clusters}
     for n, tr in enumerate(seq.tracks):
         if tr.cluster_id not in lens:
@@ -180,7 +190,8 @@ def validate_sequence(seq: StgSequence) -> None:
     bounds = np.array([[N], [T], [N], [T]])
     reasons = ("has a negative weight", "is out of range", "must advance in time",
                "touches an absent node")
-    for kind, ends, gap in zip(("spatial", "temporal"), _edge_ends(seq), (0, 1)):
+    edges = _edge_ends(seq.spatial_edges, seq.temporal_edges)
+    for kind, ends, gap in zip(("spatial", "temporal"), edges, (0, 1)):
         n1, t1, n2, t2, w = ends
         inside = (0 <= ends[:4]) & (ends[:4] < bounds)
         cell = np.where(inside, ends[:4], bounds).astype(np.intp)
@@ -234,11 +245,12 @@ def build_adjacency(
     a_s = blocks.zeros(L, 0, N, DTYPE)
     a_t = blocks.zeros(L, span, N, DTYPE)
     cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
-    for ends in _edge_ends(seq):
+    # pick the window's rows first: only they are copied and converted
+    for ends in _edge_ends(*_edges_within(seq, start, start + L)):
         i, t, j, u = ends[:4].astype(np.intp) - [[0], [start], [0], [start]]  # window steps
         w, delta = ends[4].astype(DTYPE), u - t
         # spatial self loops are dropped; the normalization adds its own
-        keep = ((i != j) | (delta > 0)) & (delta <= span) & (t >= 0) & (u < L)
+        keep = ((i != j) | (delta > 0)) & (delta <= span)
         to_t = keep & ((delta > 0) | (cross_cluster_in_temporal & (cluster[i] != cluster[j])))
         to_s = keep & ~to_t
         blocks.raise_symmetric(a_s, t[to_s], 0, i[to_s], j[to_s], w[to_s])
@@ -265,11 +277,11 @@ def apply_deformation(
         if hit.any() else tr
         for tr, hit in zip(seq.tracks, dropped)
     )
+    tables = (seq.spatial_edges, seq.temporal_edges)
     spatial, temporal = (
         rows[~(dropped[i, t] | dropped[j, u])]
         for rows, (i, t, j, u) in zip(
-            (seq.spatial_edges, seq.temporal_edges),
-            (ends[:4].astype(np.intp) for ends in _edge_ends(seq)))
+            tables, (ends[:4].astype(np.intp) for ends in _edge_ends(*tables)))
     )
     return replace(seq, tracks=tracks, spatial_edges=spatial, temporal_edges=temporal)
 
@@ -283,16 +295,13 @@ def slice_sequence(seq: StgSequence, start: int, length: int) -> StgSequence:
         replace(tr, features=tr.features[sl].copy(), presence=tr.presence[sl].copy())
         for tr in seq.tracks
     )
-    spatial, temporal = seq.spatial_edges, seq.temporal_edges
-    within = (start <= spatial[:, 0]) & (spatial[:, 0] < start + length)
-    # t_i < t_j, so an edge lies inside exactly when both of its ends do
-    spans = (start <= temporal[:, 1]) & (temporal[:, 3] < start + length)
+    spatial, temporal = _edges_within(seq, start, start + length)
     return replace(
         seq,
         num_steps=length,
         tracks=tracks,
-        spatial_edges=spatial[within] - (start, 0, 0, 0),
-        temporal_edges=temporal[spans] - (0, start, 0, start, 0),
+        spatial_edges=spatial - (start, 0, 0, 0),
+        temporal_edges=temporal - (0, start, 0, start, 0),
         labels=seq.labels[sl].copy(),
         label_mask=seq.label_mask[sl].copy(),
     )

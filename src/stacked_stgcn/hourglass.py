@@ -5,7 +5,7 @@ convolution; adjacency is subsampled per level to match, keeping its block
 layout (see :class:`stacked_stgcn.graph.AdjacencyPair`): every stride-th
 timestep survives, and so do band offsets divisible by the stride. The
 decoder mirrors with transposed convolutions, adding same-level encoder
-outputs when skip connections are on. Temporal extents that do not divide
+outputs (skip connections). Temporal extents that do not divide
 by the stride are zero-padded before the strided convolution and cropped
 after upsampling, so a block always returns the temporal extent it was fed.
 
@@ -154,7 +154,6 @@ def hourglass_forward(
     levels: Sequence[LevelAdjacency],
     params: HourglassBlockParams,
     stride: int,
-    skip: bool = True,
 ) -> Tensor:
     """One hourglass block; output temporal extent equals the input extent."""
     x, skips = hourglass_encode(h, levels, params, stride)
@@ -163,8 +162,7 @@ def hourglass_forward(
         x = temporal_deconv_flat(
             x, params.decoder[l], stride, num_tracks, levels[l + 1].num_steps, levels[l].num_steps
         )
-        if skip:
-            x = tn.add(x, skips[l])
+        x = tn.add(x, skips[l])
     return x
 
 
@@ -173,12 +171,11 @@ def stack_forward(
     levels: Sequence[LevelAdjacency],
     blocks: Sequence[HourglassBlockParams],
     stride: int,
-    skip: bool = True,
 ) -> Tensor:
     """Sequential composition of hourglass blocks at shared adjacency levels."""
     x = h
     for block in blocks:
-        x = hourglass_forward(x, levels, block, stride, skip=skip)
+        x = hourglass_forward(x, levels, block, stride)
     return x
 
 
@@ -187,7 +184,7 @@ def head_forward(
     pool: np.ndarray,
     w: Tensor,
     b: Optional[Tensor] = None,
-    decoder: Sequence[Tuple[np.ndarray, Tensor, Optional[Tensor]]] = (),
+    decoder: Sequence[Tuple[np.ndarray, Tensor, Tensor]] = (),
     stride: int = 1,
 ) -> Tensor:
     """Spatial mean-pool per timestep, then an affine map to class scores.
@@ -197,7 +194,7 @@ def head_forward(
     level 0 and ``pool`` has one row per timestep.
 
     ``decoder`` is a block's decoder, taking ``h`` from level L back to
-    level 0, as (pool, deconv kernel, skip or None) per level from L-1
+    level 0, as (pool, deconv kernel, skip) per level from L-1
     down to 0; level l's pool is
     ``pooling_matrix(presence, N, stride ** l)`` and ``pool`` is level L's.
     Its deconvs and skip adds are linear and, with kernel size = stride,
@@ -214,8 +211,7 @@ def head_forward(
         if x.shape[0] > steps * phases:  # the deconv's crop to level l's steps
             x = tn.slice_axis(x, 0, 0, steps * phases)
         x = tn.tap_matmul(x, kernel, np.arange(steps * phases) // phases % stride)
-        if skip is not None:
-            x = tn.add(x, tn.banded_matmul(level_pool, skip))
+        x = tn.add(x, tn.banded_matmul(level_pool, skip))
     scores = tn.matmul(x, w)
     if b is not None:
         scores = tn.add(scores, b)

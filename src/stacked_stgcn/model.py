@@ -66,8 +66,9 @@ class ModelConfig(DictCodec):
     levels: int = 1
     stride: int = 2
     stack_depth: int = 1
+    # kept because every checkpoint header holds them; any other value is refused
     skip: bool = True
-    decoder_stgcn: bool = False  # kept because every checkpoint header holds it; true is refused
+    decoder_stgcn: bool = False
     center_input: bool = True
     gcn_bias: bool = False
 
@@ -88,6 +89,8 @@ class ModelConfig(DictCodec):
             raise ConfigurationError("projection mode needs node_type_clusters")
         if self.levels < 0 or self.stride < 1 or self.stack_depth < 1:
             raise ConfigurationError("bad hourglass geometry")
+        if not self.skip:
+            raise ConfigurationError("skip: every decoder level adds its skip; must be true")
         if self.decoder_stgcn:
             raise ConfigurationError("decoder_stgcn: decoders have no STGCN layers; must be false")
 
@@ -315,13 +318,10 @@ class StgcnModel:
         """
         cfg, N = self.cfg, levels[0].num_tracks
         blocks = self._blocks(params)
-        h = stack_forward(h, levels, blocks[:-1], cfg.stride, skip=cfg.skip)
+        h = stack_forward(h, levels, blocks[:-1], cfg.stride)
         h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
         pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(cfg.levels + 1)]
-        decoder = [
-            (pools[l], blocks[-1].decoder[l], skips[l] if cfg.skip else None)
-            for l in reversed(range(cfg.levels))
-        ]
+        decoder = [(pools[l], blocks[-1].decoder[l], skips[l]) for l in reversed(range(cfg.levels))]
         return head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
 
     def forward_taped(self, window: Window, levels=None):

@@ -17,10 +17,8 @@ import numpy as np
 
 from .config import DictCodec
 from .errors import ValidationError
-from .graph import FeatureCluster, NodeTrack, StgSequence
+from .graph import NODE_TYPES, FeatureCluster, NodeTrack, StgSequence
 from .tensor import DTYPE
-
-_CLUSTER_TYPES = ("actor", "object", "scene", "action", "other")
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def synth_generate(
     tracks = []
     n = 0
     for ci, flen in enumerate(cfg.cluster_feature_lens):
-        node_type = _CLUSTER_TYPES[ci % len(_CLUSTER_TYPES)]
+        node_type = NODE_TYPES[ci % len(NODE_TYPES)]
         for k in range(cfg.tracks_per_cluster):
             base = np.zeros((T, flen), dtype=np.float64)
             for c in range(C):

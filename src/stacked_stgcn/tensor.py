@@ -7,6 +7,10 @@ backward rule, and :func:`backward` replays the rules in reverse to produce
 parameter gradients. With no taped input an op records nothing and keeps no
 closure, which is how inference runs: the same ops on untaped tensors.
 
+The temporal conv, its transpose and ``tap_matmul`` are one linear map,
+a sum over kernel taps of row products, and share one recorded core: each
+op only names, per tap, which input steps feed which output steps.
+
 Products (``matmul``, ``banded_matmul``, the temporal conv/deconv and
 ``tap_matmul``) run in float32, the storage precision, forward and
 backward. Float64 is kept only where it bounds drift: the whole-tensor
@@ -402,7 +406,8 @@ def banded_matmul(blocks: np.ndarray, x: Tensor) -> Tensor:
     return record(out.reshape(T * M, d), [x], grad_fn)
 
 
-def _temporal_shapes(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: int):
+def _temporal_rows(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: int):
+    """``x``'s data as (T, nodes, d_in) rows, the kernel's taps and its output width."""
     if stride < 1:
         raise DimensionError("stride must be positive")
     if nodes < 1:
@@ -415,7 +420,44 @@ def _temporal_shapes(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: i
         raise DimensionError(f"kernel input width {kd_in} != feature width {d_in}")
     if rows % nodes:
         raise DimensionError(f"{rows} rows do not split into {nodes} nodes")
-    return rows // nodes, d_in, k, d_out
+    return x.data.reshape(rows // nodes, nodes, d_in), k, d_out
+
+
+def _tap_products(x: Tensor, kernel: Tensor, x3: np.ndarray, pairs, out_shape) -> Tensor:
+    """Rows ``out[dst_j] += x3[src_j] @ kernel[j]`` summed over the taps j, flattened.
+
+    ``x3`` is ``x``'s data as (steps, nodes, d_in), ``out_shape`` is
+    (steps, nodes, d_out), and ``pairs[j]`` is tap j's (src, dst): two
+    slices or index arrays over steps that pick as many steps each. Each
+    tap is one GEMM over all the nodes of its steps. The input gradient is
+    the same sum with src and dst swapped and each tap transposed (a conv's
+    is a deconv), and ``gk[j] = x3[src_j]ᵀ g[dst_j]``.
+    """
+    kd = kernel.data
+    d_in, d_out = kd.shape[1:]
+    out = np.zeros(out_shape, dtype=DTYPE)
+    for j, (src, dst) in enumerate(pairs):
+        out[dst] += (x3[src].reshape(-1, d_in) @ kd[j]).reshape(-1, *out_shape[1:])
+
+    def grad_fn(gout):
+        g3 = gout.reshape(out_shape)
+        gx = np.zeros(x3.shape, dtype=DTYPE)
+        gk = np.zeros_like(kd)
+        for j, (src, dst) in enumerate(pairs):
+            g = g3[dst].reshape(-1, d_out)
+            gx[src] += (g @ kd[j].T).reshape(-1, *x3.shape[1:])
+            gk[j] = x3[src].reshape(-1, d_in).T @ g
+        return [gx.reshape(x.shape), gk]
+
+    return record(out.reshape(-1, d_out), [x, kernel], grad_fn)
+
+
+def _strided_taps(k: int, stride: int, strided_steps: int, max_steps: int):
+    """Per tap j, the steps j, j+stride, ... (at most ``max_steps``, all below
+    ``strided_steps``) and as many steps from 0."""
+    for j in range(k):
+        n = max(0, min(max_steps, -(-(strided_steps - j) // stride)))
+        yield slice(j, j + n * stride, stride), slice(0, n)
 
 
 def conv1d_temporal(
@@ -426,30 +468,17 @@ def conv1d_temporal(
     ``x`` is (T*nodes) x d_in in timestep-major order, i.e. a (T, nodes, d_in)
     stack whose nodes are convolved independently; ``kernel`` is
     k x d_in x d_out. ``pad`` zero steps are appended first; the output has
-    ceil((T+pad-k+1)/stride) steps in the same layout.
+    ceil((T+pad-k+1)/stride) steps in the same layout. Tap j reads input
+    steps j, j+stride, ... into output steps 0, 1, ...; the padding is
+    never built, since its steps add nothing.
     """
-    t_in, d_in, k, d_out = _temporal_shapes("conv1d_temporal", x, kernel, stride, nodes)
-    t_len = t_in + pad
+    x3, k, d_out = _temporal_rows("conv1d_temporal", x, kernel, stride, nodes)
+    t_len = len(x3) + pad
     if t_len < k:
         raise DimensionError(f"temporal extent {t_len} shorter than kernel {k}")
     n_out = (t_len - k) // stride + 1
-    xd = np.zeros((t_len, nodes, d_in), dtype=DTYPE)
-    xd[:t_in] = x.data.reshape(t_in, nodes, d_in)
-    kd = kernel.data
-    out = np.zeros((n_out * nodes, d_out), dtype=DTYPE)
-    taps = [slice(j, j + (n_out - 1) * stride + 1, stride) for j in range(k)]
-    for j, rows in enumerate(taps):
-        out += xd[rows].reshape(-1, d_in) @ kd[j]
-
-    def grad_fn(gout):
-        gx = np.zeros((t_len, nodes, d_in), dtype=DTYPE)
-        gk = np.zeros((k, d_in, d_out), dtype=DTYPE)
-        for j, rows in enumerate(taps):
-            gx[rows] += (gout @ kd[j].T).reshape(n_out, nodes, d_in)
-            gk[j] = xd[rows].reshape(-1, d_in).T @ gout
-        return [gx[:t_in].reshape(-1, d_in), gk]
-
-    return record(out, [x, kernel], grad_fn)
+    pairs = list(_strided_taps(k, stride, len(x3), n_out))
+    return _tap_products(x, kernel, x3, pairs, (n_out, nodes, d_out))
 
 
 def deconv1d_temporal(
@@ -459,35 +488,16 @@ def deconv1d_temporal(
 
     ``x`` and the output use the timestep-major layout of
     :func:`conv1d_temporal`; ``steps``, when given, keeps only the first
-    ``steps`` output steps.
+    ``steps`` output steps. Tap j writes input steps 0, 1, ... to output
+    steps j, j+stride, ..., the mirror of the conv.
     """
-    t_in, d_in, k, d_out = _temporal_shapes("deconv1d_temporal", x, kernel, stride, nodes)
-    t_full = (t_in - 1) * stride + k
+    x3, k, d_out = _temporal_rows("deconv1d_temporal", x, kernel, stride, nodes)
+    t_full = (len(x3) - 1) * stride + k
     t_out = t_full if steps is None else steps
     if t_out > t_full:
         raise DimensionError(f"deconv produces {t_full} steps, need {t_out}")
-    xd, kd = x.data, kernel.data
-    # output taps, and the input steps whose taps land inside the kept steps
-    taps = []
-    for j in range(k):
-        n_in = min(t_in, max(0, -(-(t_out - j) // stride)))
-        if n_in:
-            taps.append((j, slice(j, j + (n_in - 1) * stride + 1, stride), n_in * nodes))
-    out = np.zeros((t_out, nodes, d_out), dtype=DTYPE)
-    for j, rows, n in taps:
-        out[rows] += (xd[:n] @ kd[j]).reshape(-1, nodes, d_out)
-
-    def grad_fn(gout):
-        g_steps = gout.reshape(t_out, nodes, d_out)
-        gx = np.zeros((t_in * nodes, d_in), dtype=DTYPE)
-        gk = np.zeros((k, d_in, d_out), dtype=DTYPE)
-        for j, rows, n in taps:
-            g = g_steps[rows].reshape(n, d_out)
-            gx[:n] += g @ kd[j].T
-            gk[j] = xd[:n].T @ g
-        return [gx, gk]
-
-    return record(out.reshape(t_out * nodes, d_out), [x, kernel], grad_fn)
+    pairs = [(src, dst) for dst, src in _strided_taps(k, stride, t_out, len(x3))]
+    return _tap_products(x, kernel, x3, pairs, (t_out, nodes, d_out))
 
 
 def tap_matmul(x: Tensor, kernel: Tensor, taps) -> Tensor:
@@ -507,22 +517,8 @@ def tap_matmul(x: Tensor, kernel: Tensor, taps) -> Tensor:
         raise DimensionError(f"{taps.shape} taps for {x.shape[0]} rows")
     if taps.size and (taps.min() < 0 or taps.max() >= k):
         raise DimensionError(f"tap index out of range for a kernel of {k} taps")
-    xd, kd = x.data, kernel.data
-    groups = [np.flatnonzero(taps == j) for j in range(k)]
-    out = np.empty((x.shape[0], d_out), dtype=DTYPE)
-    for j, rows in enumerate(groups):
-        out[rows] = xd[rows] @ kd[j]
-
-    def grad_fn(gout):
-        gx = np.empty_like(xd)
-        gk = np.zeros_like(kd)
-        for j, rows in enumerate(groups):
-            g = gout[rows]
-            gx[rows] = g @ kd[j].T
-            gk[j] = xd[rows].T @ g
-        return [gx, gk]
-
-    return record(out, [x, kernel], grad_fn)
+    pairs = [(rows, rows) for rows in (np.flatnonzero(taps == j) for j in range(k))]
+    return _tap_products(x, kernel, x.data.reshape(-1, 1, d_in), pairs, (len(taps), 1, d_out))
 
 
 # ---------------------------------------------------------------------------

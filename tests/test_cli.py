@@ -330,6 +330,28 @@ def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_sequence_with_no_tracks_exits_2(dataset, tmp_path, capsys, command):
+    entries = json.loads((dataset / "manifest.json").read_text())["sequences"]
+    split = "train" if command == "train" else "test"
+    seq_dir = dataset / next(e["path"] for e in entries if e["split"] == split)
+    doc = json.loads((seq_dir / "manifest.json").read_text())
+    doc.update(tracks=[], spatial_edges=[[] for _ in range(doc["T"])], temporal_edges=[])
+    (seq_dir / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["--checkpoint", untrained_checkpoint(tmp_path)]
+    else:
+        argv = ["--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+                "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
+                "--seed", "0"]
+    rc = main([command, "--manifest", str(dataset / "manifest.json"), "--out", str(out), *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert seq_dir.name in err and "no tracks" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_non_finite_first_epoch_exits_3_and_leaves_no_output(dataset, tmp_path, capsys):
     # the first step's update is so large that the second step's forward overflows
@@ -489,21 +511,30 @@ def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, capsys, cut, key
         assert key in err and "shape" in err and "Traceback" not in err
 
 
-def test_eval_rejects_a_checkpoint_whose_decoders_have_stgcn_layers(tmp_path, capsys):
+def eval_with_retired_knob_flipped(tmp_path, capsys, key, written):
+    """Exit code and stderr of ``eval`` on a checkpoint whose header flips ``key`` from ``written``."""
     manifest, ckpt, _ = multi_label_data(tmp_path)
     raw = ckpt.read_bytes()
     n = header_length(raw)
     header = json.loads(raw[4:4 + n])
-    assert header["model_config"]["decoder_stgcn"] is False  # as in every header written
-    header["model_config"]["decoder_stgcn"] = True
+    assert header["model_config"][key] is written  # as in every header written
+    header["model_config"][key] = not written
     blob = json.dumps(header, sort_keys=True).encode()
     ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[4 + n:])
     out = tmp_path / "metrics.json"
     rc = main(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "decoder_stgcn" in err and "Traceback" not in err
     assert not out.exists()
+    return rc, capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_whose_decoders_have_stgcn_layers(tmp_path, capsys):
+    rc, err = eval_with_retired_knob_flipped(tmp_path, capsys, "decoder_stgcn", False)
+    assert rc == 2 and "decoder_stgcn" in err and "Traceback" not in err
+
+
+def test_eval_rejects_a_checkpoint_without_skip_connections(tmp_path, capsys):
+    rc, err = eval_with_retired_knob_flipped(tmp_path, capsys, "skip", True)
+    assert rc == 2 and "skip" in err and "Traceback" not in err
 
 
 def test_eval_on_non_finite_checkpoint_exits_3(tmp_path, capsys):
@@ -701,6 +732,26 @@ def test_a_directory_where_a_file_is_expected_exits_2(dataset, tmp_path, capsys,
     assert not list(folder.iterdir()) and not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("command", ["synth", "ingest", "train"])
+def test_out_onto_an_existing_file_exits_2(dataset, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    table = {"segments": 2, "num_classes": 2, "labels": [0, 1],
+             "actors": [{"id": "a0", "features": [[1.0], [2.0]]}]}
+    argv = {
+        "synth": ["--config", write_json(tmp_path / "synth.json", SYNTH_CONFIG), "--seed", "0"],
+        "ingest": ["--input", write_json(tmp_path / "table.json", table)],
+        "train": ["--manifest", str(dataset / "manifest.json"), "--seed", "0",
+                  "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+                  "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG)],
+    }[command]
+    rc = main([command, *argv, "--out", str(out), "--force"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert out.read_text() == "keep"
+
+
 def flip_bytes(raw: bytes, rng) -> bytes:
     """``raw`` with 1-4 bytes at random offsets XOR-ed with random nonzero values."""
     edited = bytearray(raw)
@@ -751,6 +802,7 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
         ("model", {"harmonization": "projection",
                    "node_type_clusters": [["actor", 0], ["actor", 1]]}, "node_type_clusters"),
         ("model", {"decoder_stgcn": True}, "decoder_stgcn"),
+        ("model", {"skip": False}, "skip"),
         ("train", {"epochs": "2"}, "epochs"),
         ("train", {"max_window": 2.5}, "max_window"),
         ("train", {"lr0": float("nan")}, "lr0"),
@@ -760,7 +812,7 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
          "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
-         "decoder-stgcn", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
+         "decoder-stgcn", "skip-false", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
          "momentum-negative", "momentum-one"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):

@@ -105,8 +105,10 @@ def test_codec_missing_required_key():
         ({"cluster_feature_lens": [3, "4"]}, "cluster_feature_lens[1]: expected int"),
         ({"node_type_clusters": [["actor"]]}, "node_type_clusters[0]: expected 2 values"),
         ({"d_model": 0}, "m.json: d_model, num_classes and cluster_feature_lens must be >= 1"),
+        ({"skip": False}, "m.json: skip: every decoder level adds its skip; must be true"),
     ],
-    ids=["int-bool", "int-float", "bool-int", "str-null", "tuple-item", "pair-length", "range"],
+    ids=["int-bool", "int-float", "bool-int", "str-null", "tuple-item", "pair-length", "range",
+         "skip-false"],
 )
 def test_codec_checks_types_and_names_file_and_key(change, message):
     doc = dict({"cluster_feature_lens": [3, 4], "num_classes": 2}, **change)

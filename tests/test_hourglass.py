@@ -41,6 +41,7 @@ from dense_reference import (
     dense_subsample,
     dense_to_blocks,
 )
+from test_model import with_nonzero_biases
 
 
 def dense_pair(a_s, a_t, band):
@@ -195,24 +196,13 @@ def build_one_level_block(rng, d, zero_decoder=False):
     )
 
 
-def test_zero_decoder_without_skip_is_constant(rng):
-    adj = chain_pair(4, 2)
-    levels = build_level_adjacency(adj, levels=1, stride=2)
-    d = 3
-    block = build_one_level_block(rng, d, zero_decoder=True)
-    for _ in range(3):
-        h = Tensor(rng.uniform(-1, 1, (4, d)).astype(np.float32))
-        out = hourglass_forward(h, levels, block, stride=2, skip=False)
-        assert not out.data.any()
-
-
 def test_skip_connection_carries_encoder_output(rng):
     adj = chain_pair(4, 2)
     levels = build_level_adjacency(adj, levels=1, stride=2)
     d = 3
     block = build_one_level_block(rng, d, zero_decoder=True)
     h = Tensor(rng.uniform(-1, 1, (4, d)).astype(np.float32))
-    out = hourglass_forward(h, levels, block, stride=2, skip=True)
+    out = hourglass_forward(h, levels, block, stride=2)
     enc = stgcn_layer(h, levels[0].ns, levels[0].nt, block.encoder[0].stgcn)
     assert np.array_equal(out.data, enc.data)
 
@@ -288,7 +278,7 @@ def test_head_all_absent_timestep_scores_bias(rng):
 def full_decoder_body(model, h, levels, presence, params):
     """The window body with the last decoder at node resolution, then the plain head."""
     cfg = model.cfg
-    h = stack_forward(h, levels, model._blocks(params), cfg.stride, skip=cfg.skip)
+    h = stack_forward(h, levels, model._blocks(params), cfg.stride)
     pool = pooling_matrix(presence, levels[0].num_tracks)
     return head_forward(h, pool, params["head/w"], params["head/b"])
 
@@ -299,7 +289,7 @@ def assert_close_to_largest(actual, expected, context):
 
 
 @pytest.mark.parametrize(
-    "levels, stride, skip, stack_depth, T",
+    "levels, stride, gcn_bias, stack_depth, T",
     [
         (1, 2, True, 1, 13),
         (1, 3, False, 2, 7),
@@ -309,10 +299,10 @@ def assert_close_to_largest(actual, expected, context):
         (3, 3, True, 1, 31),
     ],
 )
-def test_pooled_head_matches_the_full_decoder(levels, stride, skip, stack_depth, T):
+def test_pooled_head_matches_the_full_decoder(levels, stride, gcn_bias, stack_depth, T):
     cfg = ModelConfig(
         cluster_feature_lens=(3, 4), num_classes=3, d_model=8, levels=levels, stride=stride,
-        stack_depth=stack_depth, skip=skip, span=2,
+        stack_depth=stack_depth, gcn_bias=gcn_bias, span=2,
     )
     synth_cfg = SynthConfig(
         num_classes=3, cluster_feature_lens=(3, 4), t_range=(T, T), temporal_span=2
@@ -324,7 +314,7 @@ def test_pooled_head_matches_the_full_decoder(levels, stride, skip, stack_depth,
     seq = apply_deformation(seq, drops)
     assert T % stride**levels and not flat_presence(seq).reshape(T, -1)[1].any()
 
-    model = StgcnModel(cfg, seed=levels)
+    model = with_nonzero_biases(StgcnModel(cfg, seed=levels))
     oracle = StgcnModel.from_params(cfg, model.params)
     oracle._body = functools.partial(full_decoder_body, oracle)
     runs = []
@@ -349,7 +339,8 @@ def test_pooled_head_rejects_a_kernel_whose_taps_differ_from_the_stride(rng):
     h = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32))  # level 1: 2 steps x 2 nodes
     w = Tensor(rng.uniform(-1, 1, (3, 2)).astype(np.float32))
     kernel = Tensor(rng.uniform(-1, 1, (3, 3, 3)).astype(np.float32))
-    decoder = [(pooling_matrix(presence, 2), kernel, None)]
+    skip = Tensor(rng.uniform(-1, 1, (8, 3)).astype(np.float32))  # level 0: 4 steps x 2 nodes
+    decoder = [(pooling_matrix(presence, 2), kernel, skip)]
     with pytest.raises(DimensionError, match="3 taps, stride is 2"):
         head_forward(h, pooling_matrix(presence, 2, 2), w, None, decoder, stride=2)
 

@@ -211,6 +211,29 @@ def test_deconv_over_nodes_matches_per_node(rng, steps):
         assert np.array_equal(out.data[n::N], single)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_deconv_with_transposed_taps_is_the_adjoint_of_conv(rng, k, stride):
+    # <conv(x, K), y> == <x, deconv(y, K^T)>, deconv's steps cut or zero-extended to T
+    d_in, d_out = 3, 2
+    for nodes in (1, 3):
+        for pad in (0, 1, 2):
+            for T in sorted({max(1, k - pad), 7}):
+                x = rng.uniform(-1, 1, (T * nodes, d_in)).astype(np.float32)
+                kernel = rng.uniform(-1, 1, (k, d_in, d_out)).astype(np.float32)
+                conv = tn.conv1d_temporal(Tensor(x), Tensor(kernel), stride, nodes, pad)
+                y = rng.uniform(-1, 1, conv.shape).astype(np.float32)
+                t_full = (conv.shape[0] // nodes - 1) * stride + k
+                back = tn.deconv1d_temporal(
+                    Tensor(y), Tensor(kernel.transpose(0, 2, 1)), stride, nodes, min(T, t_full)
+                ).data.astype(np.float64)
+                back = np.vstack([back, np.zeros((T * nodes - len(back), d_in))])
+                lhs = np.vdot(conv.data.astype(np.float64), y)
+                rhs = np.vdot(x.astype(np.float64), back)
+                scale = np.abs(conv.data).sum() + np.abs(back).sum()
+                assert abs(lhs - rhs) <= 1e-6 * scale, (nodes, pad, T, lhs, rhs)
+
+
 def test_deconv_crop_beyond_output_rejected():
     with pytest.raises(DimensionError):
         tn.deconv1d_temporal(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1, 1))), 2, steps=5)
