@@ -87,11 +87,17 @@ def read_json(path: str):
 
 
 def json_array(value: list, dtype, at: str) -> np.ndarray:
-    """A ``list`` field as an array; ragged or non-numeric data raises ValidationError."""
+    """A ``list`` field as an array; ragged or non-numeric data raises ValidationError,
+    and so do values an integer ``dtype`` would truncate (not whole, or not finite)."""
+    whole = np.issubdtype(dtype, np.integer)
     try:
-        return np.asarray(value, dtype=dtype)
+        arr = np.asarray(value, dtype=np.float64 if whole else dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{at}: {exc}") from exc
+    fractional = arr[~np.isfinite(arr) | (arr != np.round(arr))] if whole else []
+    if len(fractional):
+        raise ValidationError(f"{at}: {fractional[0]} is not a whole number")
+    return arr.astype(dtype, copy=False)
 
 
 @contextmanager

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .graph import StgSequence, pad_sequence, slice_sequence
+from .graph import StgSequence, Window
+from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
 from .model import StgcnModel
 from .tensor import DTYPE
 
@@ -44,7 +45,9 @@ def sliding_infer(
     """Windowed forward passes fused into one per-timestep score timeline.
 
     A model with ``score_windows`` scores all windows in one call; any
-    other model is called once per window with ``forward_scores``. A hop
+    other model is called once per window with ``forward_scores`` on the
+    window's :meth:`~stacked_stgcn.graph.Window.sequence` copy (the one
+    window of a shorter sequence is zero-padded to ``window`` steps). A hop
     longer than the window would leave steps unscored, so it is refused.
     """
     if window < 1 or hop < 1:
@@ -59,12 +62,7 @@ def sliding_infer(
     if hasattr(model, "score_windows"):
         windows = model.score_windows(seq, starts, window)
     else:
-        windows = (
-            model.forward_scores(
-                pad_sequence(seq, window) if T <= window else slice_sequence(seq, start, window)
-            )
-            for start in starts
-        )
+        windows = (model.forward_scores(Window(seq, start, window).sequence()) for start in starts)
     for start, scores in zip(starts, windows):
         stop = min(start + window, T)  # a padded window keeps its first T rows
         total[start:stop] += scores[: stop - start]

@@ -78,7 +78,9 @@ class Window:
     """Timesteps [start, start+length) of a sequence: a range-checked view that copies nothing.
 
     ``length`` defaults to the rest of the sequence. Only a window from 0 may
-    run past T; its steps there are absent and masked out, as in :func:`pad_sequence`.
+    run past T (the one window of a shorter sequence). This class is the one
+    place that pads past T: there every per-step array reads zero, so the
+    steps are absent, featureless and masked out.
     """
 
     seq: StgSequence
@@ -96,16 +98,46 @@ class Window:
         return slice(self.start, self.start + self.length)
 
     @property
+    def flat_rows(self) -> slice:
+        """The window's rows in the sequence's flat node-time order."""
+        N = self.seq.num_tracks
+        return slice(self.start * N, (self.start + self.length) * N)
+
+    def padded(self, rows: np.ndarray) -> np.ndarray:
+        """The window's steps of a per-step array (T leading), zero past T; a view inside T."""
+        part = rows[self.steps]
+        if len(part) == self.length:
+            return part
+        return np.pad(part, [(0, self.length - len(part))] + [(0, 0)] * (part.ndim - 1))
+
+    @property
     def labels(self) -> np.ndarray:
-        return _zero_padded(self.seq.labels[self.steps], self.length)
+        return self.padded(self.seq.labels)
 
     @property
     def label_mask(self) -> np.ndarray:
-        return _zero_padded(self.seq.label_mask[self.steps], self.length)
+        return self.padded(self.seq.label_mask)
 
+    @property
+    def presence(self) -> np.ndarray:
+        """Presence of the window's steps, flattened timestep-major (``t * N + n``)."""
+        presence = np.array([tr.presence for tr in self.seq.tracks], dtype=bool)
+        return self.padded(presence.T).reshape(-1)
 
-def _zero_padded(rows: np.ndarray, length: int) -> np.ndarray:
-    return np.pad(rows, [(0, length - len(rows))] + [(0, 0)] * (rows.ndim - 1))
+    def sequence(self) -> StgSequence:
+        """The window copied into a sequence of its own; edges re-indexed, crossers dropped."""
+        spatial, temporal = _edges_within(self.seq, self.start, self.start + self.length)
+        return replace(
+            self.seq,
+            num_steps=self.length,
+            tracks=tuple(replace(tr, features=np.array(self.padded(tr.features)),
+                                 presence=np.array(self.padded(tr.presence)))
+                         for tr in self.seq.tracks),
+            spatial_edges=spatial - (self.start, 0, 0, 0),
+            temporal_edges=temporal - (0, self.start, 0, self.start, 0),
+            labels=np.array(self.labels),
+            label_mask=np.array(self.label_mask),
+        )
 
 
 @dataclass(frozen=True)
@@ -182,6 +214,8 @@ def validate_sequence(seq: StgSequence) -> None:
             )
         if tr.presence.shape != (T,):
             raise ValidationError(f"track {tr.track_id}: bad presence shape")
+        if not np.isfinite(tr.features).all():
+            raise ValidationError(f"track {tr.track_id}: non-finite feature value")
         if np.any(tr.features[~tr.presence] != 0):
             raise ValidationError(f"track {tr.track_id}: nonzero features at absent timesteps")
     # one absent row and column past the end, where out-of-range edge ends are looked up
@@ -211,10 +245,10 @@ def validate_sequence(seq: StgSequence) -> None:
     if seq.mode == "single":
         if seq.labels.shape != (T,):
             raise ValidationError("single-label mode needs a (T,) label vector")
-        if np.any((seq.labels < 0) | (seq.labels >= seq.num_classes)):
-            raise ValidationError("label index out of range")
+        if not np.isin(seq.labels, np.arange(seq.num_classes)).all():
+            raise ValidationError("label index out of range or not whole")
     else:
-        if seq.labels.shape != (T, seq.num_classes):
+        if seq.labels.shape != (T, seq.num_classes) or not np.isin(seq.labels, (0, 1)).all():
             raise ValidationError("multi-label mode needs a (T, C) binary matrix")
     if seq.label_mask.shape != (T,):
         raise ValidationError("bad label_mask shape")
@@ -287,57 +321,17 @@ def apply_deformation(
 
 
 def slice_sequence(seq: StgSequence, start: int, length: int) -> StgSequence:
-    """Crop to timesteps [start, start+length); edges re-indexed, crossers dropped."""
+    """Crop to timesteps [start, start+length): the :meth:`Window.sequence` copy."""
     if start < 0 or start + length > seq.num_steps:
         raise ValidationError("window out of range")
-    sl = slice(start, start + length)
-    tracks = tuple(
-        replace(tr, features=tr.features[sl].copy(), presence=tr.presence[sl].copy())
-        for tr in seq.tracks
-    )
-    spatial, temporal = _edges_within(seq, start, start + length)
-    return replace(
-        seq,
-        num_steps=length,
-        tracks=tracks,
-        spatial_edges=spatial - (start, 0, 0, 0),
-        temporal_edges=temporal - (0, start, 0, start, 0),
-        labels=seq.labels[sl].copy(),
-        label_mask=seq.label_mask[sl].copy(),
-    )
+    return Window(seq, start, length).sequence()
 
 
 def pad_sequence(seq: StgSequence, length: int) -> StgSequence:
-    """Zero-pad to ``length`` timesteps; padded steps are absent and masked out."""
-    T = seq.num_steps
-    if length < T:
+    """Zero-pad to ``length`` timesteps, as the :meth:`Window.sequence` copy pads them."""
+    if length < seq.num_steps:
         raise ValidationError("pad target shorter than sequence")
-    if length == T:
-        return seq
-    extra = length - T
-    tracks = tuple(
-        replace(
-            tr,
-            features=np.vstack(
-                [tr.features, np.zeros((extra, tr.features.shape[1]), dtype=DTYPE)]
-            ),
-            presence=np.concatenate([tr.presence, np.zeros(extra, dtype=bool)]),
-        )
-        for tr in seq.tracks
-    )
-    if seq.mode == "single":
-        labels = np.concatenate([seq.labels, np.zeros(extra, dtype=seq.labels.dtype)])
-    else:
-        labels = np.vstack(
-            [seq.labels, np.zeros((extra, seq.num_classes), dtype=seq.labels.dtype)]
-        )
-    return replace(
-        seq,
-        num_steps=length,
-        tracks=tracks,
-        labels=labels,
-        label_mask=np.concatenate([seq.label_mask, np.zeros(extra, dtype=bool)]),
-    )
+    return Window(seq, 0, length).sequence()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from . import blocks
 from . import tensor as tn
 from .errors import ConfigurationError, ContractError, DimensionError
-from .graph import StgSequence
+from .graph import StgSequence, Window
 from .tensor import DTYPE, Tensor
 
 
@@ -79,20 +79,22 @@ def cluster_row_index(seq: StgSequence) -> Dict[int, np.ndarray]:
 
 
 def assemble_rows(pieces: Sequence[Tuple[np.ndarray, Tensor]], total_rows: int) -> Tensor:
-    """Scatter row blocks back into flat node-time order.
+    """Scatter row blocks back into flat node-time order, as one recorded op.
 
     ``pieces`` pairs each block of rows with the flat indices those rows
     belong to; together the indices must cover 0..total_rows-1 exactly once.
+    Each block's gradient is the upstream gradient's rows at its indices.
     """
-    if len(pieces) == 1 and np.array_equal(pieces[0][0], np.arange(total_rows)):
+    index = [np.asarray(idx, dtype=np.intp) for idx, _ in pieces]
+    if len(pieces) == 1 and np.array_equal(index[0], np.arange(total_rows)):
         return pieces[0][1]
-    stacked = tn.concat([p[1] for p in pieces], axis=0)
-    order = np.concatenate([p[0] for p in pieces])
-    if sorted(order.tolist()) != list(range(total_rows)):
+    if not np.array_equal(np.sort(np.concatenate(index)), np.arange(total_rows)):
         raise DimensionError("row pieces must partition the node-time index set")
-    inverse = np.empty(total_rows, dtype=np.intp)
-    inverse[order] = np.arange(total_rows)
-    return tn.gather_rows(stacked, inverse)
+    out = np.empty((total_rows,) + pieces[0][1].shape[1:], dtype=DTYPE)
+    for idx, (_, rows) in zip(index, pieces):
+        out[idx] = rows.data
+    # the record keeps the index arrays only, not the pieces
+    return tn.record(out, [rows for _, rows in pieces], lambda gout: [gout[idx] for idx in index])
 
 
 def spatial_project(
@@ -156,19 +158,16 @@ def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
     return tn.relu(out)
 
 
-def harmonize_projection(
-    seq: StgSequence, kernels: Dict, group_by: str = "node_type", steps: slice = slice(None)
-) -> Tensor:
-    """Map every node's features to a common width via per-group projections.
+def harmonize_projection(window: Window, kernels: Dict, group_by: str = "node_type") -> Tensor:
+    """Map every node's features in ``window`` to a common width via per-group projections.
 
     Tracks are grouped by their ``group_by`` attribute (``node_type`` or
     ``cluster_id``) and each group owns one 1x1 convolution kernel (a plain
-    matmul on the feature vector). Absent nodes keep zero rows. Only the
-    timesteps in ``steps`` are projected; the output holds their rows, and
-    zero rows past T, as :func:`stacked_stgcn.graph.pad_sequence` pads them.
+    matmul on the feature vector). Each group's input is its tracks'
+    :meth:`~stacked_stgcn.graph.Window.padded` feature rows, track-major, so
+    absent nodes and steps past T keep zero rows.
     """
-    lo, hi, _ = steps.indices(max(seq.num_steps, steps.stop or 0))
-    N, T = seq.num_tracks, hi - lo
+    seq, N, L = window.seq, window.seq.num_tracks, window.length
     groups: Dict[object, List[int]] = {}
     for n, tr in enumerate(seq.tracks):
         groups.setdefault(getattr(tr, group_by), []).append(n)
@@ -177,16 +176,14 @@ def harmonize_projection(
         if key not in kernels:
             raise ConfigurationError(f"no projection kernel for {group_by} {key!r}")
         kernel = kernels[key]
-        feats = np.zeros((len(track_ids) * T, kernel.shape[0]), dtype=DTYPE)
-        for k, n in enumerate(track_ids):  # T rows per track, zero past the end
-            rows = seq.tracks[n].features[lo:hi]
-            if rows.shape[1] != kernel.shape[0]:
-                raise ConfigurationError(
-                    f"kernel for {key!r} expects width {kernel.shape[0]}, got {rows.shape[1]}"
-                )
-            feats[k * T : k * T + len(rows)] = rows
-        inputs.append((_track_rows(np.asarray(track_ids), N, T), Tensor(feats), kernel))
-    return spatial_project(inputs, N * T)
+        widths = {seq.tracks[n].features.shape[1] for n in track_ids} - {kernel.shape[0]}
+        if widths:
+            raise ConfigurationError(
+                f"kernel for {key!r} expects width {kernel.shape[0]}, got {widths.pop()}"
+            )
+        feats = np.concatenate([window.padded(seq.tracks[n].features) for n in track_ids])
+        inputs.append((_track_rows(np.asarray(track_ids), N, L), Tensor(feats), kernel))
+    return spatial_project(inputs, N * L)
 
 
 def _presence_counts(presence: np.ndarray, num_tracks: int):
@@ -213,7 +210,7 @@ def subtract_mean(h: Tensor, presence: np.ndarray, num_tracks: int) -> Tensor:
 
 def flat_presence(seq: StgSequence) -> np.ndarray:
     """Presence mask flattened in timestep-major node-time order."""
-    return np.stack([tr.presence for tr in seq.tracks], axis=1).reshape(-1)
+    return Window(seq).presence
 
 
 def pooling_matrix(presence: np.ndarray, num_tracks: int, phases: int = 1) -> np.ndarray:

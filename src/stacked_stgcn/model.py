@@ -43,14 +43,8 @@ from .hourglass import (
     hourglass_encode,
     stack_forward,
 )
-from .layers import (
-    StgcnLayerParams,
-    flat_presence,
-    harmonize_projection,
-    pooling_matrix,
-    subtract_mean,
-)
-from .layers import spatial_project  # noqa: F401  (perfbench/tracing.py wraps it here)
+from .layers import StgcnLayerParams, harmonize_projection, pooling_matrix, subtract_mean
+from .layers import flat_presence, spatial_project  # noqa: F401  (perfbench/tracing.py wraps them)
 from .tensor import DTYPE, Tape, Tensor
 
 
@@ -271,25 +265,17 @@ class StgcnModel:
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
 
-    @staticmethod
-    def _presence(seq: StgSequence, steps: slice) -> np.ndarray:
-        """Flat presence of the timesteps ``steps``, which are absent past T."""
-        N, T = seq.num_tracks, seq.num_steps
-        presence = np.zeros(max(T, steps.stop) * N, dtype=bool)
-        presence[: T * N] = flat_presence(seq)
-        return presence[steps.start * N : steps.stop * N]
-
-    def _prefix(self, seq: StgSequence, params, presence: np.ndarray, steps: slice) -> Tensor:
-        """Harmonized and centered rows of the timesteps ``steps``, whose flat presence is given.
+    def _prefix(self, window: Window, params, presence: np.ndarray) -> Tensor:
+        """Harmonized and centered rows of ``window``, whose flat presence is given.
 
         On folded parameters the rows also get the first layer's weight.
         """
         cfg = self.cfg
         kernels = {key: params[path] for key, path in _harmonization_kernels(cfg).items()}
         group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
-        h = harmonize_projection(seq, kernels, group_by=group_by, steps=steps)
+        h = harmonize_projection(window, kernels, group_by=group_by)
         if cfg.center_input:
-            h = subtract_mean(h, presence, seq.num_tracks)
+            h = subtract_mean(h, presence, window.seq.num_tracks)
         w = params.get(PREFIX_WEIGHT)  # folded parameters only
         return h if w is None else tn.matmul(h, w)
 
@@ -326,14 +312,13 @@ class StgcnModel:
 
     def forward_taped(self, window: Window, levels=None):
         """Tape, taped params and scores of one window, on its :meth:`prepare_levels` if given."""
-        seq, steps = window.seq, window.steps
-        self._check(seq)
+        self._check(window.seq)
         if levels is None:
             levels = self.prepare_levels(window)
         tape = Tape()
         taped = {path: tape.watch(arr) for path, arr in self.params.items()}
-        presence = self._presence(seq, steps)
-        h = self._prefix(seq, taped, presence, steps)
+        presence = window.presence
+        h = self._prefix(window, taped, presence)
         return tape, taped, self._body(h, levels, presence, taped)
 
     def _inference_params(self) -> Dict[str, Tensor]:
@@ -354,24 +339,23 @@ class StgcnModel:
         The prefix rows are computed once per sequence, in window-length
         chunks of steps; each window takes its rows from them and builds
         its own levels (:meth:`prepare_levels`). A sequence shorter than
-        the window is zero-padded to it, as in
-        :func:`stacked_stgcn.graph.pad_sequence`; its one window starts at 0.
+        the window has one window, from 0, which
+        :class:`~stacked_stgcn.graph.Window` zero-pads past T.
         """
         self._check(seq)
         if window < 1:
             raise ValidationError("window must be >= 1")
-        params, N, T = self._inference_params(), seq.num_tracks, seq.num_steps
-        presence = self._presence(seq, slice(0, max(T, window)))
+        params, T = self._inference_params(), seq.num_steps
+        presence = Window(seq, 0, max(T, window)).presence
         rows = np.zeros((len(presence), self.cfg.d_model), dtype=DTYPE)
         for lo in range(0, T, window):
-            steps = slice(lo, min(lo + window, T))
-            chunk = slice(lo * N, steps.stop * N)
-            rows[chunk] = self._prefix(seq, params, presence[chunk], steps).data
+            chunk = Window(seq, lo, min(window, T - lo))
+            rows[chunk.flat_rows] = self._prefix(chunk, params, presence[chunk.flat_rows]).data
         scores = []
         for start in starts:
-            levels = self.prepare_levels(Window(seq, start, window))
-            win = slice(start * N, (start + window) * N)
-            scores.append(self._body(Tensor(rows[win]), levels, presence[win], params).data)
+            win = Window(seq, start, window)
+            h, mask = Tensor(rows[win.flat_rows]), presence[win.flat_rows]
+            scores.append(self._body(h, self.prepare_levels(win), mask, params).data)
         return scores
 
     def forward_scores(self, seq: StgSequence) -> np.ndarray:

@@ -4,17 +4,90 @@ The library stores adjacency, centering and pooling as (T, 2b+1, M, N) block
 arrays. The helpers here expand them to plain dense matrices and rebuild the
 adjacency the straightforward dense way (Python edge loops, row/column
 selection for subsampling), so tests can state expectations in dense form and
-compare the two layouts.
+compare the two layouts. Window copies are rebuilt track by track, the way
+sequences were once sliced and padded, as an oracle for ``graph.Window``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 from stacked_stgcn.graph import validate_sequence
+from stacked_stgcn.tensor import DTYPE
 
 
 def flat_index(track, t, num_tracks):
     """The flat node-time row of ``track`` at timestep ``t`` (time-major)."""
     return t * num_tracks + track
+
+
+def sliced_sequence(seq, start, length):
+    """Timesteps [start, start+length) copied track by track; edges re-indexed, crossers dropped."""
+    assert 0 <= start and start + length <= seq.num_steps
+    sl = slice(start, start + length)
+    tracks = tuple(
+        replace(tr, features=tr.features[sl].copy(), presence=tr.presence[sl].copy())
+        for tr in seq.tracks
+    )
+    stop = start + length
+    return replace(
+        seq,
+        num_steps=length,
+        tracks=tracks,
+        spatial_edges=[[t - start, i, j, w] for t, i, j, w in seq.spatial_edges
+                       if start <= t < stop],
+        temporal_edges=[[i, ti - start, j, tj - start, w] for i, ti, j, tj, w in seq.temporal_edges
+                        if start <= ti and tj < stop],
+        labels=seq.labels[sl].copy(),
+        label_mask=seq.label_mask[sl].copy(),
+    )
+
+
+def padded_sequence(seq, length):
+    """Zero-padded to ``length`` timesteps track by track; padded steps absent and masked out."""
+    extra = length - seq.num_steps
+    assert extra >= 0
+    tracks = tuple(
+        replace(
+            tr,
+            features=np.vstack(
+                [tr.features, np.zeros((extra, tr.features.shape[1]), dtype=DTYPE)]
+            ),
+            presence=np.concatenate([tr.presence, np.zeros(extra, dtype=bool)]),
+        )
+        for tr in seq.tracks
+    )
+    if seq.mode == "single":
+        labels = np.concatenate([seq.labels, np.zeros(extra, dtype=seq.labels.dtype)])
+    else:
+        labels = np.vstack(
+            [seq.labels, np.zeros((extra, seq.num_classes), dtype=seq.labels.dtype)]
+        )
+    return replace(
+        seq,
+        num_steps=length,
+        tracks=tracks,
+        labels=labels,
+        label_mask=np.concatenate([seq.label_mask, np.zeros(extra, dtype=bool)]),
+    )
+
+
+def window_copy(seq, start, length):
+    """The window [start, start+length) as a sequence: padded past T (from 0 only), else sliced."""
+    if start + length > seq.num_steps:
+        assert start == 0
+        return padded_sequence(seq, length)
+    return sliced_sequence(seq, start, length)
+
+
+def reference_flat_presence(seq):
+    """Presence in flat node-time order, filled entry by entry: row t * N + n is (n, t)."""
+    N = seq.num_tracks
+    out = np.zeros(seq.num_steps * N, dtype=bool)
+    for n, tr in enumerate(seq.tracks):
+        for t in range(seq.num_steps):
+            out[flat_index(n, t, N)] = tr.presence[t]
+    return out
 
 
 def blocks_to_dense(blocks):

@@ -10,6 +10,7 @@ from stacked_stgcn.cli import main
 from stacked_stgcn.graph import load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, generate_dataset
+from stacked_stgcn.tensor import dump_tensor
 from stacked_stgcn.training import TrainConfig, load_checkpoint, save_checkpoint
 
 SYNTH_CONFIG = {
@@ -182,10 +183,13 @@ def test_ingest_rejects_ragged_rows(tmp_path):
         (dict(segments=2, num_classes=2, actors=5), "actors"),
         (dict(segments=2, num_classes=2, actors=[{"features": [[0.0], [0.0]]}],
               labels=[0, "x"]), "labels"),
+        (dict(segments=2, num_classes=2, actors=[{"features": [[0.0], [0.0]]}],
+              labels=[0, 0.5]), "labels: 0.5 is not a whole number"),
         (dict(segments=2, num_classes=2, actors=[["x"]]), "actors[0]"),
         ([1], "expected a JSON object"),
     ],
-    ids=["segments-string", "actors-int", "label-string", "actor-array", "array"],
+    ids=["segments-string", "actors-int", "label-string", "label-fraction", "actor-array",
+         "array"],
 )
 def test_ingest_rejects_malformed_table(tmp_path, capsys, doc, key):
     src = write_json(tmp_path / "table.json", doc)
@@ -330,14 +334,21 @@ def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, comma
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_a_sequence_with_no_tracks_exits_2(dataset, tmp_path, capsys, command):
+def sequence_dir(dataset, command):
+    """A sequence that ``command`` reads: a train one for ``train``, a test one for ``eval``."""
     entries = json.loads((dataset / "manifest.json").read_text())["sequences"]
     split = "train" if command == "train" else "test"
-    seq_dir = dataset / next(e["path"] for e in entries if e["split"] == split)
+    return dataset / next(e["path"] for e in entries if e["split"] == split)
+
+
+def edit_stgs_manifest(seq_dir, edit):
     doc = json.loads((seq_dir / "manifest.json").read_text())
-    doc.update(tracks=[], spatial_edges=[[] for _ in range(doc["T"])], temporal_edges=[])
+    edit(doc)
     (seq_dir / "manifest.json").write_text(json.dumps(doc))
+
+
+def train_or_eval(dataset, tmp_path, command):
+    """Exit code of ``train``, or of ``eval`` on an untrained checkpoint; neither leaves output."""
     out = tmp_path / "out"
     if command == "eval":
         argv = ["--checkpoint", untrained_checkpoint(tmp_path)]
@@ -346,10 +357,43 @@ def test_a_sequence_with_no_tracks_exits_2(dataset, tmp_path, capsys, command):
                 "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
                 "--seed", "0"]
     rc = main([command, "--manifest", str(dataset / "manifest.json"), "--out", str(out), *argv])
-    assert rc == 2
+    assert not out.exists()
+    return rc
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_sequence_with_no_tracks_exits_2(dataset, tmp_path, capsys, command):
+    seq_dir = sequence_dir(dataset, command)
+    edit_stgs_manifest(seq_dir, lambda doc: doc.update(
+        tracks=[], spatial_edges=[[] for _ in range(doc["T"])], temporal_edges=[]))
+    assert train_or_eval(dataset, tmp_path, command) == 2
     err = capsys.readouterr().err
     assert seq_dir.name in err and "no tracks" in err and "Traceback" not in err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_a_non_finite_feature_exits_2_naming_the_track(dataset, tmp_path, capsys, command, value):
+    seq_dir = sequence_dir(dataset, command)
+    track = load_stgs(str(seq_dir)).tracks[0]
+    features = track.features.copy()
+    features[np.flatnonzero(track.presence)[0], 0] = value
+    with open(seq_dir / "track_0.bin", "wb") as fh:
+        dump_tensor(fh, features)
+    assert train_or_eval(dataset, tmp_path, command) == 2
+    err = capsys.readouterr().err
+    assert seq_dir.name in err and f"track {track.track_id}: non-finite feature value" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_fractional_single_label_exits_2(dataset, tmp_path, capsys, command):
+    seq_dir = sequence_dir(dataset, command)
+    edit_stgs_manifest(seq_dir, lambda doc: doc["labels"].__setitem__(0, 1.5))
+    assert train_or_eval(dataset, tmp_path, command) == 2
+    err = capsys.readouterr().err
+    assert seq_dir.name in err and "labels: 1.5 is not a whole number" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -652,10 +696,12 @@ def stgs_edit(edit):
      stgs_edit(lambda doc: doc["tracks"][0].update(blob=3)),
      stgs_edit(lambda doc: doc["clusters"][1].update(feature_len="4")),
      stgs_edit(lambda doc: doc["labels"][0].append(1)),
-     stgs_edit(lambda doc: doc["tracks"][0].update(blob=""))],
+     stgs_edit(lambda doc: doc["tracks"][0].update(blob="")),
+     *(stgs_edit(lambda doc, v=v: doc["labels"][0].__setitem__(0, v))
+       for v in (0.5, 2, -1, np.nan))],
     ids=["clusters-int", "edge-3-values", "edge-fraction", "invalid-json", "T-float",
          "C-string", "cluster-id-array", "blob-int", "feature-len-string", "labels-ragged",
-         "blob-directory"],
+         "blob-directory", "label-half", "label-two", "label-minus-one", "label-nan"],
 )
 def test_eval_rejects_malformed_stgs_manifest(tmp_path, capsys, corrupt):
     manifest, ckpt, _ = multi_label_data(tmp_path)

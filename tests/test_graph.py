@@ -33,7 +33,13 @@ from stacked_stgcn.synth import (
 )
 from stacked_stgcn.evaluate import f1_score
 
-from dense_reference import blocks_to_dense, dense_build_adjacency, flat_index
+from dense_reference import (
+    blocks_to_dense,
+    dense_build_adjacency,
+    flat_index,
+    reference_flat_presence,
+    window_copy,
+)
 
 # written by save_stgs before edges were stored as arrays; see deformed_two_cluster()
 STGS_FIXTURE = Path(__file__).parent / "data" / "deformed_two_cluster.stgs"
@@ -181,6 +187,34 @@ def test_edges_are_read_only_float64():
     for edges, width in ((seq.spatial_edges, 4), (seq.temporal_edges, 5)):
         assert edges.dtype == np.float64 and edges.shape[1] == width
         assert not edges.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_feature_rejected_naming_the_track(value):
+    seq = chain_sequence(T=3, span=1, num_tracks=2)
+    features = seq.tracks[1].features.copy()
+    features[1, 0] = value  # at a present step
+    tracks = (seq.tracks[0], replace(seq.tracks[1], features=features))
+    with pytest.raises(ValidationError, match="track n1: non-finite feature value"):
+        replace(seq, tracks=tracks)
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan], ids=["half", "two", "minus-one", "nan"])
+def test_multi_label_matrix_must_be_binary(value):
+    seq = replace(chain_sequence(T=3), mode="multi", labels=np.zeros((3, 2), dtype=np.float32))
+    labels = seq.labels.copy()
+    labels[1, 1] = value
+    with pytest.raises(ValidationError, match="binary matrix"):
+        replace(seq, labels=labels)
+
+
+@pytest.mark.parametrize("value", [1.5, np.nan, -1, 2], ids=["fraction", "nan", "negative", "C"])
+def test_single_label_must_be_a_whole_class_index(value):
+    seq = chain_sequence(T=3)
+    labels = seq.labels.astype(np.float64)
+    labels[2] = value
+    with pytest.raises(ValidationError, match="label index out of range or not whole"):
+        replace(seq, labels=labels)
 
 
 def test_nonzero_features_at_absent_step_rejected():
@@ -355,17 +389,57 @@ def test_sliced_window_blocks_equal_blocks_of_the_sliced_sequence(
     rng = np.random.default_rng(seed + 1)
     seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, rng, burst=1))
     T = seq.num_steps
-    if length > T:  # the one window of a shorter sequence: padded, not sliced
-        start, window = 0, pad_sequence(seq, length)
-    else:
-        start = int(offset * (T - length))
-        window = slice_sequence(seq, start, length)
+    # the one window of a shorter sequence is padded, not sliced
+    start = 0 if length > T else int(offset * (T - length))
+    window = window_copy(seq, start, length)
     got = build_adjacency(seq, span, cross, start, length)
     want = build_adjacency(window, span, cross)
     assert (got.num_steps, got.num_tracks) == (want.num_steps, want.num_tracks)
     for a, b in ((got.a_s, want.a_s), (got.a_t, want.a_t)):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    mode=st.sampled_from(["single", "multi"]),
+    place=st.sampled_from(["from_start", "inside", "to_end", "past_T"]),
+    length=st.integers(1, 16),
+    offset=st.floats(0.0, 1.0),
+)
+def test_window_copies_equal_the_per_track_reference(seed, mode, place, length, offset):
+    cfg = SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), tracks_per_cluster=2,
+                      t_range=(2, 16), temporal_span=3, mode=mode)
+    seq, _ = synth_generate(cfg, seed)
+    rng = np.random.default_rng(seed + 1)
+    seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, rng, burst=2))
+    T = seq.num_steps
+    if place == "past_T":
+        start, length = 0, T + length
+    else:
+        length = min(length, T)
+        start = {"from_start": 0, "inside": int(offset * (T - length)), "to_end": T - length}[place]
+    window = Window(seq, start, length)
+    want = window_copy(seq, start, length)
+    copy = pad_sequence(seq, length) if place == "past_T" else slice_sequence(seq, start, length)
+    for got in (window.sequence(), copy):
+        assert got.num_steps == want.num_steps == length
+        for name in ("spatial_edges", "temporal_edges", "labels", "label_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for tr, ref in zip(got.tracks, want.tracks):
+            assert tr.features.dtype == ref.features.dtype
+            assert np.array_equal(tr.features, ref.features)
+            assert np.array_equal(tr.presence, ref.presence)
+    for tr, ref in zip(seq.tracks, want.tracks):
+        rows = window.padded(tr.features)
+        assert rows.dtype == ref.features.dtype and np.array_equal(rows, ref.features)
+        # a view inside T, so the prefix copies each feature row once
+        assert np.shares_memory(rows, tr.features) == (place != "past_T")
+    assert np.array_equal(window.presence, reference_flat_presence(want))
+    assert np.array_equal(window.labels, want.labels)
+    assert np.array_equal(window.label_mask, want.label_mask)
 
 
 def test_sliced_window_blocks_drop_edges_across_the_border():

@@ -5,7 +5,7 @@ import pytest
 
 from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ConfigurationError, DimensionError, ValidationError
-from stacked_stgcn.graph import FeatureCluster, NodeTrack, StgSequence
+from stacked_stgcn.graph import FeatureCluster, NodeTrack, StgSequence, Window
 from stacked_stgcn.layers import (
     StgcnLayerParams,
     centering_matrix,
@@ -228,7 +228,7 @@ def make_sequence(tracks_spec, T=2, num_classes=2):
 
 def test_projection_identity_kernel():
     seq = make_sequence([("actor", 0, 3), ("actor", 0, 3)])
-    out = harmonize_projection(seq, {"actor": Tensor(np.eye(3, dtype=np.float32))})
+    out = harmonize_projection(Window(seq), {"actor": Tensor(np.eye(3, dtype=np.float32))})
     N, T = seq.num_tracks, seq.num_steps
     for n, tr in enumerate(seq.tracks):
         for t in range(T):
@@ -242,7 +242,7 @@ def test_projection_mixed_widths_to_common():
         "actor": Tensor(rng.uniform(-0.05, 0.05, (1024, 512)).astype(np.float32)),
         "object": Tensor(rng.uniform(-0.05, 0.05, (2048, 512)).astype(np.float32)),
     }
-    out = harmonize_projection(seq, kernels)
+    out = harmonize_projection(Window(seq), kernels)
     assert out.shape == (seq.num_tracks * seq.num_steps, 512)
 
 
@@ -256,14 +256,14 @@ def test_projection_absent_node_stays_zero():
     presence[0] = False
     features[0] = 0
     seq = replace(seq, tracks=(replace(tr, presence=presence, features=features),))
-    out = harmonize_projection(seq, {"actor": Tensor(np.ones((3, 4), dtype=np.float32))})
+    out = harmonize_projection(Window(seq), {"actor": Tensor(np.ones((3, 4), dtype=np.float32))})
     assert not out.data[0].any()
 
 
 def test_projection_missing_kernel():
     seq = make_sequence([("actor", 0, 3), ("object", 1, 5)])
     with pytest.raises(ConfigurationError):
-        harmonize_projection(seq, {"actor": Tensor(np.eye(3, dtype=np.float32))})
+        harmonize_projection(Window(seq), {"actor": Tensor(np.eye(3, dtype=np.float32))})
 
 
 def test_projection_grouped_by_cluster():
@@ -272,12 +272,14 @@ def test_projection_grouped_by_cluster():
     rng = np.random.default_rng(2)
     w0, w1 = (rng.uniform(-1, 1, shape).astype(np.float32) for shape in ((3, 4), (2, 4)))
     by_type = harmonize_projection(
-        seq, {"actor": Tensor(w0), "object": Tensor(w0), "scene": Tensor(w1)}
+        Window(seq), {"actor": Tensor(w0), "object": Tensor(w0), "scene": Tensor(w1)}
     )
-    by_cluster = harmonize_projection(seq, {0: Tensor(w0), 1: Tensor(w1)}, group_by="cluster_id")
+    by_cluster = harmonize_projection(
+        Window(seq), {0: Tensor(w0), 1: Tensor(w1)}, group_by="cluster_id"
+    )
     np.testing.assert_allclose(by_cluster.data, by_type.data, rtol=0, atol=1e-6)
     with pytest.raises(ConfigurationError):
-        harmonize_projection(seq, {0: Tensor(w0)}, group_by="cluster_id")
+        harmonize_projection(Window(seq), {0: Tensor(w0)}, group_by="cluster_id")
 
 
 def test_layer_without_spatial_weights_takes_projected_rows(rng):
