@@ -75,14 +75,14 @@ def raise_symmetric(blocks: np.ndarray, t, delta, i, j, w) -> None:
 
 
 def subsample(blocks: np.ndarray, stride: int) -> np.ndarray:
-    """Keep timesteps 0, s, 2s, ... and the offsets divisible by s = ``stride``.
+    """Keep timesteps 0, s, 2s, ... and the offsets divisible by s = ``stride``, as a view.
 
     Surviving entries keep their weights; a band of half-width b becomes one
-    of half-width b // stride.
+    of half-width b // stride. Subsampling by s and then by r equals
+    subsampling by s * r.
     """
-    half = blocks.shape[1] // 2
-    offsets = half + stride * np.arange(-(half // stride), half // stride + 1)
-    return blocks[::stride][:, offsets]
+    # the offsets -s*(b//s) .. s*(b//s) sit at band indices b % s, b % s + s, ...
+    return blocks[::stride, blocks.shape[1] // 2 % stride :: stride]
 
 
 def normalize_symmetric(blocks: np.ndarray) -> np.ndarray:

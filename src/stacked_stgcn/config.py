@@ -86,14 +86,25 @@ def read_json(path: str):
             raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def binary_array(value, at: str) -> np.ndarray:
+    """``value`` as a bool array; any entry but 0, 1, true or false raises ValidationError."""
+    arr = np.asarray(value)
+    bad = arr[~np.isin(arr, (0, 1))]
+    if len(bad):
+        raise ValidationError(f"{at}: {bad[0]} is not 0 or 1")
+    return arr.astype(bool, copy=False)
+
+
 def json_array(value: list, dtype, at: str) -> np.ndarray:
-    """A ``list`` field as an array; ragged or non-numeric data raises ValidationError,
-    and so do values an integer ``dtype`` would truncate (not whole, or not finite)."""
-    whole = np.issubdtype(dtype, np.integer)
+    """A ``list`` field as an array; ragged or non-numeric data raises ValidationError, and so
+    do values an integer ``dtype`` would truncate (not whole, or not finite) or a bool one cast."""
+    whole = dtype is bool or np.issubdtype(dtype, np.integer)
     try:
         arr = np.asarray(value, dtype=np.float64 if whole else dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{at}: {exc}") from exc
+    if dtype is bool:
+        return binary_array(arr, at)
     fractional = arr[~np.isfinite(arr) | (arr != np.round(arr))] if whole else []
     if len(fractional):
         raise ValidationError(f"{at}: {fractional[0]} is not a whole number")

@@ -1,12 +1,13 @@
 """Spatio-temporal graph sequences: node tracks, presence masks, adjacency.
 
 A sequence holds one track per graph node. Tracks live over all T timesteps
-with a boolean presence mask; feature rows are zero wherever a node is
-absent. Spatial edges connect two tracks within one timestep; temporal edges
-connect (track, t) to (track', t + delta) with delta >= 1 and may skip
-timesteps to bridge deformation (missed detections, occlusion, nodes that
-appear or disappear). Each edge list is one flat table with a row per edge
-(the COO layout), checked once, when the sequence is built.
+with a boolean presence mask, a column of the sequence's (T, N) grid;
+feature rows are zero wherever a node is absent. Spatial edges connect two
+tracks within one timestep; temporal edges connect (track, t) to
+(track', t + delta) with delta >= 1 and may skip timesteps to bridge
+deformation (missed detections, occlusion, nodes that appear or
+disappear). Each edge list is one flat table with a row per edge (the COO
+layout), checked once, when the sequence is built.
 
 Flattening convention: the node-time index of (track n, timestep t) is
 ``t * N + n`` (timestep-major), so temporal subsampling selects contiguous
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import blocks
-from .config import DictCodec, atomic_write, json_array, read_json
+from .config import DictCodec, atomic_write, binary_array, json_array, read_json
 from .errors import ValidationError
 from .tensor import DTYPE, dump_tensor, load_tensor
 
@@ -42,7 +43,7 @@ class NodeTrack:
     node_type: str
     cluster_id: int
     features: np.ndarray  # (T, feature_len) float32, zero rows where absent
-    presence: np.ndarray  # (T,) bool
+    presence: np.ndarray  # (T,) 0/1; in a sequence, a read-only column of its presence grid
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class StgSequence:
 
     Edge rows may come as any array-like (arrays, tuples, JSON lists); they
     are stored once as read-only float64 arrays with whole-number indices.
+    Presence and label masks (0, 1, true or false) are stored as bool,
+    presence once, as the read-only (T, N) grid ``presence``.
     """
 
     num_steps: int
@@ -62,11 +65,16 @@ class StgSequence:
     temporal_edges: np.ndarray  # (E_t, 5) rows (i, t_i, j, t_j, w)
     labels: np.ndarray      # (T,) int for single, (T, C) {0,1} for multi
     label_mask: np.ndarray  # (T,) bool
+    presence: np.ndarray = field(init=False, repr=False, compare=False)  # (T, N) bool
 
     def __post_init__(self):
         for name, width in (("spatial_edges", 4), ("temporal_edges", 5)):
             object.__setattr__(self, name, _edge_table(getattr(self, name), width, name))
-        validate_sequence(self)
+        presence, label_mask = validate_sequence(self)
+        presence.flags.writeable = False
+        tracks = tuple(replace(tr, presence=presence[:, n]) for n, tr in enumerate(self.tracks))
+        for name, value in (("presence", presence), ("label_mask", label_mask), ("tracks", tracks)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_tracks(self) -> int:
@@ -120,9 +128,8 @@ class Window:
 
     @property
     def presence(self) -> np.ndarray:
-        """Presence of the window's steps, flattened timestep-major (``t * N + n``)."""
-        presence = np.array([tr.presence for tr in self.seq.tracks], dtype=bool)
-        return self.padded(presence.T).reshape(-1)
+        """The window's presence flattened timestep-major (``t * N + n``); a view inside T."""
+        return self.padded(self.seq.presence).reshape(-1)
 
     def sequence(self) -> StgSequence:
         """The window copied into a sequence of its own; edges re-indexed, crossers dropped."""
@@ -131,7 +138,7 @@ class Window:
             self.seq,
             num_steps=self.length,
             tracks=tuple(replace(tr, features=np.array(self.padded(tr.features)),
-                                 presence=np.array(self.padded(tr.presence)))
+                                 presence=self.padded(tr.presence))
                          for tr in self.seq.tracks),
             spatial_edges=spatial - (self.start, 0, 0, 0),
             temporal_edges=temporal - (0, self.start, 0, self.start, 0),
@@ -173,6 +180,7 @@ def _edge_table(rows, width: int, name: str) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad.reshape(-1))) // width
         raise ValidationError(f"{name}: row {k} {table[k].tolist()} is not finite or not whole")
+    table = table.view()  # freeze a view, not the caller's buffer
     table.flags.writeable = False
     return table
 
@@ -190,11 +198,11 @@ def _edge_ends(spatial: np.ndarray, temporal: np.ndarray):
     return spatial.T[[1, 0, 2, 0, 3]], temporal.T[[0, 1, 2, 3, 4]]
 
 
-def validate_sequence(seq: StgSequence) -> None:
-    """Raise ValidationError if any sequence invariant is broken.
+def validate_sequence(seq: StgSequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The (T, N) presence grid and the label mask as bool, or ValidationError.
 
-    Edges are checked a column at a time against the (N, T) presence array;
-    the error names the first edge, in row order, that breaks one.
+    Edges are checked a column at a time against the presence grid; the
+    error names the first edge, in row order, that breaks one.
     """
     T, N = seq.num_steps, seq.num_tracks
     if seq.mode not in ("single", "multi"):
@@ -202,7 +210,8 @@ def validate_sequence(seq: StgSequence) -> None:
     if not N:
         raise ValidationError("sequence has no tracks")
     lens = {c.cluster_id: c.feature_len for c in seq.clusters}
-    for n, tr in enumerate(seq.tracks):
+    columns = []
+    for tr in seq.tracks:
         if tr.cluster_id not in lens:
             raise ValidationError(f"track {tr.track_id} references unknown cluster {tr.cluster_id}")
         if tr.node_type not in NODE_TYPES:
@@ -214,13 +223,14 @@ def validate_sequence(seq: StgSequence) -> None:
             )
         if tr.presence.shape != (T,):
             raise ValidationError(f"track {tr.track_id}: bad presence shape")
+        columns.append(binary_array(tr.presence, f"track {tr.track_id}: presence"))
         if not np.isfinite(tr.features).all():
             raise ValidationError(f"track {tr.track_id}: non-finite feature value")
-        if np.any(tr.features[~tr.presence] != 0):
+        if np.any(tr.features[~columns[-1]] != 0):
             raise ValidationError(f"track {tr.track_id}: nonzero features at absent timesteps")
+    presence = np.stack(columns, axis=1)
     # one absent row and column past the end, where out-of-range edge ends are looked up
-    present = np.zeros((N + 1, T + 1), dtype=bool)
-    present[:N, :T] = np.array([tr.presence for tr in seq.tracks], dtype=bool).reshape(N, T)
+    present = np.pad(presence.T, ((0, 1), (0, 1)))
     bounds = np.array([[N], [T], [N], [T]])
     reasons = ("has a negative weight", "is out of range", "must advance in time",
                "touches an absent node")
@@ -252,6 +262,7 @@ def validate_sequence(seq: StgSequence) -> None:
             raise ValidationError("multi-label mode needs a (T, C) binary matrix")
     if seq.label_mask.shape != (T,):
         raise ValidationError("bad label_mask shape")
+    return presence, binary_array(seq.label_mask, "label_mask")
 
 
 def build_adjacency(
@@ -395,13 +406,13 @@ def save_stgs(seq: StgSequence, directory: str) -> None:
         clusters=seq.clusters,
         tracks=tuple(
             _TrackEntry(tr.track_id, tr.node_type, tr.cluster_id,
-                        np.asarray(tr.presence, dtype=bool).tolist(), f"track_{n}.bin")
+                        tr.presence.tolist(), f"track_{n}.bin")
             for n, tr in enumerate(seq.tracks)
         ),
         spatial_edges=[_json_rows(spatial[t == k, 1:]) for k in range(seq.num_steps)],
         temporal_edges=_json_rows(seq.temporal_edges),
         labels=seq.labels.tolist(),
-        label_mask=np.asarray(seq.label_mask, dtype=bool).tolist(),
+        label_mask=seq.label_mask.tolist(),
     )
     with atomic_write(os.path.join(directory, "manifest.json")) as fh:
         json.dump(manifest.to_dict(), fh, indent=1)

@@ -2,12 +2,13 @@
 
 Each encoder level runs an STGCN layer and then a strided temporal
 convolution; adjacency is subsampled per level to match, keeping its block
-layout (see :class:`stacked_stgcn.graph.AdjacencyPair`): every stride-th
-timestep survives, and so do band offsets divisible by the stride. The
-decoder mirrors with transposed convolutions, adding same-level encoder
-outputs (skip connections). Temporal extents that do not divide
-by the stride are zero-padded before the strided convolution and cropped
-after upsampling, so a block always returns the temporal extent it was fed.
+layout (see :class:`stacked_stgcn.graph.AdjacencyPair`): level l keeps
+every (stride ** l)-th timestep of level 0, and band offsets divisible by
+stride ** l (:func:`build_level_adjacency`). The decoder mirrors with
+transposed convolutions, adding same-level encoder outputs (skip
+connections). Temporal extents that do not divide by the stride are
+zero-padded before the strided convolution and cropped after upsampling,
+so a block always returns the temporal extent it was fed.
 
 A decoder level is a transposed convolution and a skip add, with no
 STGCN layer: the decoder is linear. Only the head reads the last block's
@@ -41,44 +42,18 @@ class LevelAdjacency:
     num_tracks: int
 
 
-def subsample_adjacency(adj: AdjacencyPair, stride: int) -> AdjacencyPair:
-    """Keep every stride-th timestep of both adjacency matrices.
+def build_level_adjacency(adj: AdjacencyPair, levels: int, stride: int) -> List[LevelAdjacency]:
+    """Normalized adjacency per level, level 0 being the input resolution.
 
-    Surviving timesteps are 0, s, 2s, ...; surviving pairs stay connected
-    iff they were connected in the input, so temporal edges must have
-    spanned the gap for coarse-level connectivity to exist. A band of
-    half-width b becomes one of half-width b // stride.
+    A_s is block-diagonal and a block's normalization reads that block only,
+    so A_s is normalized once and level l strides it by stride ** l. A_t is
+    subsampled by stride ** l from level 0 and normalized per level.
     """
     if stride < 1:
         raise DimensionError("stride must be >= 1")
-    if stride == 1:
-        return adj
-    a_s = subsample_blocks(adj.a_s, stride)
-    return AdjacencyPair(
-        a_s=a_s,
-        a_t=subsample_blocks(adj.a_t, stride),
-        num_tracks=adj.num_tracks,
-        num_steps=a_s.shape[0],
-    )
-
-
-def build_level_adjacency(
-    adj: AdjacencyPair, levels: int, stride: int
-) -> List[LevelAdjacency]:
-    """Normalized adjacency per level, level 0 being the input resolution."""
-    out = []
-    cur = adj
-    for _ in range(levels + 1):
-        out.append(
-            LevelAdjacency(
-                ns=normalize_adjacency(cur.a_s),
-                nt=normalize_adjacency(cur.a_t),
-                num_steps=cur.num_steps,
-                num_tracks=cur.num_tracks,
-            )
-        )
-        cur = subsample_adjacency(cur, stride)
-    return out
+    ns = normalize_adjacency(adj.a_s)
+    nt = [normalize_adjacency(subsample_blocks(adj.a_t, stride**l)) for l in range(levels + 1)]
+    return [LevelAdjacency(ns[:: stride**l], a, len(a), adj.num_tracks) for l, a in enumerate(nt)]
 
 
 def _check_rows(h: Tensor, num_tracks: int, num_steps: int) -> None:

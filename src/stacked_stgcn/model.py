@@ -255,6 +255,8 @@ class StgcnModel:
 
     def _check(self, seq: StgSequence) -> None:
         cfg = self.cfg
+        if seq.mode != cfg.head_mode:
+            raise ValidationError(f"sequence has label mode {seq.mode!r}, model {cfg.head_mode!r}")
         if seq.num_classes != cfg.num_classes:
             raise ValidationError(
                 f"sequence has {seq.num_classes} classes, model expects {cfg.num_classes}"
@@ -265,8 +267,8 @@ class StgcnModel:
                 f"cluster feature lengths {lens} do not match model {cfg.cluster_feature_lens}"
             )
 
-    def _prefix(self, window: Window, params, presence: np.ndarray) -> Tensor:
-        """Harmonized and centered rows of ``window``, whose flat presence is given.
+    def _prefix(self, window: Window, params) -> Tensor:
+        """Harmonized and centered rows of ``window``.
 
         On folded parameters the rows also get the first layer's weight.
         """
@@ -275,7 +277,7 @@ class StgcnModel:
         group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
         h = harmonize_projection(window, kernels, group_by=group_by)
         if cfg.center_input:
-            h = subtract_mean(h, presence, window.seq.num_tracks)
+            h = subtract_mean(h, window.presence, window.seq.num_tracks)
         w = params.get(PREFIX_WEIGHT)  # folded parameters only
         return h if w is None else tn.matmul(h, w)
 
@@ -317,9 +319,8 @@ class StgcnModel:
             levels = self.prepare_levels(window)
         tape = Tape()
         taped = {path: tape.watch(arr) for path, arr in self.params.items()}
-        presence = window.presence
-        h = self._prefix(window, taped, presence)
-        return tape, taped, self._body(h, levels, presence, taped)
+        h = self._prefix(window, taped)
+        return tape, taped, self._body(h, levels, window.presence, taped)
 
     def _inference_params(self) -> Dict[str, Tensor]:
         """The folded parameters as untaped tensors, rebuilt when the store's version moves."""
@@ -346,16 +347,15 @@ class StgcnModel:
         if window < 1:
             raise ValidationError("window must be >= 1")
         params, T = self._inference_params(), seq.num_steps
-        presence = Window(seq, 0, max(T, window)).presence
-        rows = np.zeros((len(presence), self.cfg.d_model), dtype=DTYPE)
+        rows = np.zeros((max(T, window) * seq.num_tracks, self.cfg.d_model), dtype=DTYPE)
         for lo in range(0, T, window):
             chunk = Window(seq, lo, min(window, T - lo))
-            rows[chunk.flat_rows] = self._prefix(chunk, params, presence[chunk.flat_rows]).data
+            rows[chunk.flat_rows] = self._prefix(chunk, params).data
         scores = []
         for start in starts:
             win = Window(seq, start, window)
-            h, mask = Tensor(rows[win.flat_rows]), presence[win.flat_rows]
-            scores.append(self._body(h, self.prepare_levels(win), mask, params).data)
+            h = Tensor(rows[win.flat_rows])
+            scores.append(self._body(h, self.prepare_levels(win), win.presence, params).data)
         return scores
 
     def forward_scores(self, seq: StgSequence) -> np.ndarray:

@@ -5,7 +5,9 @@ arrays. The helpers here expand them to plain dense matrices and rebuild the
 adjacency the straightforward dense way (Python edge loops, row/column
 selection for subsampling), so tests can state expectations in dense form and
 compare the two layouts. Window copies are rebuilt track by track, the way
-sequences were once sliced and padded, as an oracle for ``graph.Window``.
+sequences were once sliced and padded, as an oracle for ``graph.Window``,
+and per-level adjacency is chained level to level, as an oracle for
+``hourglass.build_level_adjacency``.
 """
 
 from dataclasses import replace
@@ -13,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from stacked_stgcn.graph import validate_sequence
+from stacked_stgcn.layers import normalize_adjacency
 from stacked_stgcn.tensor import DTYPE
 
 
@@ -150,6 +153,22 @@ def dense_subsample(dense, num_tracks, stride):
     keep_t = np.arange(0, T, stride)
     rows = (keep_t[:, None] * num_tracks + np.arange(num_tracks)[None, :]).reshape(-1)
     return dense[np.ix_(rows, rows)]
+
+
+def index_subsample(blocks, stride):
+    """Every stride-th timestep and the band offsets divisible by the stride, by index lists."""
+    half = blocks.shape[1] // 2
+    offsets = half + stride * np.arange(-(half // stride), half // stride + 1)
+    return blocks[::stride][:, offsets]
+
+
+def chained_level_adjacency(adj, levels, stride):
+    """(ns, nt) per level: subsample the previous level's raw blocks, then normalize both."""
+    out, a_s, a_t = [], adj.a_s, adj.a_t
+    for _ in range(levels + 1):
+        out.append((normalize_adjacency(a_s), normalize_adjacency(a_t)))
+        a_s, a_t = index_subsample(a_s, stride), index_subsample(a_t, stride)
+    return out
 
 
 def dense_normalize(a):

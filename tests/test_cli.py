@@ -396,6 +396,25 @@ def test_a_fractional_single_label_exits_2(dataset, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "infer", "eval"])
+def test_a_label_mode_the_head_does_not_have_exits_2(dataset, tmp_path, capsys, command):
+    multi = dict(MODEL_CONFIG, head_mode="multi")  # the data set is single-label
+    if command == "train":
+        argv = ["--model-config", write_json(tmp_path / "model.json", multi),
+                "--train-config", write_json(tmp_path / "train.json", TRAIN_CONFIG),
+                "--seed", "0"]
+    else:
+        ckpt = tmp_path / "model.ckpt"
+        model = StgcnModel(ModelConfig.from_dict(multi), seed=0)
+        save_checkpoint(str(ckpt), model, TrainConfig(mode="multi"), epoch=0)
+        argv = ["--checkpoint", str(ckpt)]
+    out = tmp_path / "out"
+    rc = main([command, "--manifest", str(dataset / "manifest.json"), "--out", str(out), *argv])
+    assert rc == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "label mode 'single', model 'multi'" in err and "Traceback" not in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_a_non_finite_first_epoch_exits_3_and_leaves_no_output(dataset, tmp_path, capsys):
     # the first step's update is so large that the second step's forward overflows
@@ -698,10 +717,14 @@ def stgs_edit(edit):
      stgs_edit(lambda doc: doc["labels"][0].append(1)),
      stgs_edit(lambda doc: doc["tracks"][0].update(blob="")),
      *(stgs_edit(lambda doc, v=v: doc["labels"][0].__setitem__(0, v))
-       for v in (0.5, 2, -1, np.nan))],
+       for v in (0.5, 2, -1, np.nan)),
+     *(stgs_edit(lambda doc, v=v: doc["tracks"][0]["presence"].__setitem__(0, v))
+       for v in (0.5, 2)),
+     stgs_edit(lambda doc: doc["label_mask"].__setitem__(0, -1))],
     ids=["clusters-int", "edge-3-values", "edge-fraction", "invalid-json", "T-float",
          "C-string", "cluster-id-array", "blob-int", "feature-len-string", "labels-ragged",
-         "blob-directory", "label-half", "label-two", "label-minus-one", "label-nan"],
+         "blob-directory", "label-half", "label-two", "label-minus-one", "label-nan",
+         "presence-half", "presence-two", "mask-minus-one"],
 )
 def test_eval_rejects_malformed_stgs_manifest(tmp_path, capsys, corrupt):
     manifest, ckpt, _ = multi_label_data(tmp_path)

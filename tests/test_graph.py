@@ -189,6 +189,15 @@ def test_edges_are_read_only_float64():
         assert not edges.flags.writeable
 
 
+def test_building_a_sequence_leaves_the_callers_edge_array_writable():
+    seq = chain_sequence(T=4, span=2)
+    mine = np.array(seq.temporal_edges)  # float64, as stored: no conversion copy
+    built = replace(seq, temporal_edges=mine)
+    assert mine.flags.writeable
+    assert not built.temporal_edges.flags.writeable
+    assert np.array_equal(built.temporal_edges, mine)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_feature_rejected_naming_the_track(value):
     seq = chain_sequence(T=3, span=1, num_tracks=2)
@@ -224,6 +233,63 @@ def test_nonzero_features_at_absent_step_rejected():
     presence[1] = False  # features left nonzero on purpose
     with pytest.raises(ValidationError):
         replace(seq, tracks=(replace(tr, presence=presence),))
+
+
+def test_integer_presence_is_read_as_a_mask():
+    seq = chain_sequence(T=6, span=0)
+    tr = seq.tracks[0]
+    presence = np.array([0, 1, 1, 1, 1, 1])
+    features = tr.features.copy()
+    features[0] = 7  # at the absent step 0
+    with pytest.raises(ValidationError, match="track n0: nonzero features at absent timesteps"):
+        replace(seq, tracks=(replace(tr, presence=presence, features=features),))
+    features[0] = 0  # steps 1-5 keep their nonzero features
+    built = replace(seq, tracks=(replace(tr, presence=presence, features=features),))
+    assert built.tracks[0].presence.dtype == bool
+    assert built.tracks[0].presence.tolist() == [False] + [True] * 5
+
+
+@pytest.mark.parametrize("value", [0.5, 2, -1, np.nan], ids=["half", "two", "minus-one", "nan"])
+@pytest.mark.parametrize("name", ["presence", "label_mask"])
+def test_presence_and_label_mask_must_hold_zero_or_one(name, value):
+    seq = chain_sequence(T=3, span=0)
+    tr = seq.tracks[0]
+    if name == "presence":
+        presence = tr.presence.astype(np.float64)
+        presence[1] = value
+        with pytest.raises(ValidationError, match="track n0: presence: .* is not 0 or 1"):
+            replace(seq, tracks=(replace(tr, presence=presence),))
+    else:
+        mask = seq.label_mask.astype(np.float64)
+        mask[1] = value
+        with pytest.raises(ValidationError, match="label_mask: .* is not 0 or 1"):
+            replace(seq, label_mask=mask)
+
+
+def test_label_mask_is_stored_as_bool():
+    seq = replace(chain_sequence(T=3, span=0), label_mask=np.array([1, 0, 1]))
+    assert seq.label_mask.dtype == bool and seq.label_mask.tolist() == [True, False, True]
+
+
+def test_track_presence_is_a_read_only_column_of_one_grid():
+    seq = apply_deformation(chain_sequence(T=5, span=1, num_tracks=3), [(1, 2), (2, 0)])
+    assert seq.presence.shape == (5, 3) and seq.presence.dtype == bool
+    assert not seq.presence.flags.writeable
+    for n, tr in enumerate(seq.tracks):
+        assert not tr.presence.flags.writeable
+        assert np.shares_memory(tr.presence, seq.presence)
+        assert np.array_equal(tr.presence, seq.presence[:, n])
+    assert not seq.presence[2, 1] and not seq.presence[0, 2]
+
+
+def test_window_presence_is_a_view_of_the_grid_inside_t():
+    seq = apply_deformation(chain_sequence(T=6, span=1, num_tracks=2), [(0, 3)])
+    inside = Window(seq, 2, 3).presence
+    assert np.shares_memory(inside, seq.presence)
+    assert inside.tolist() == [True, True, False, True, True, True]
+    padded = Window(seq, 0, 9).presence
+    assert padded.shape == (18,) and not padded[12:].any()
+    assert np.array_equal(padded[:12], seq.presence.reshape(-1))
 
 
 # -- deformation -------------------------------------------------------------

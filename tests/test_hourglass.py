@@ -1,4 +1,4 @@
-"""Hourglass blocks: adjacency subsampling, skip wiring, temporal extents."""
+"""Hourglass blocks: per-level adjacency, skip wiring, temporal extents."""
 
 import functools
 
@@ -7,8 +7,10 @@ import pytest
 
 from dataclasses import replace
 
+from stacked_stgcn import hourglass
+from stacked_stgcn.blocks import subsample as subsample_blocks
 from stacked_stgcn.errors import DimensionError
-from stacked_stgcn.graph import AdjacencyPair, Window, apply_deformation
+from stacked_stgcn.graph import AdjacencyPair, Window, apply_deformation, build_adjacency
 from stacked_stgcn.hourglass import (
     EncoderLevelParams,
     HourglassBlockParams,
@@ -16,7 +18,6 @@ from stacked_stgcn.hourglass import (
     head_forward,
     hourglass_forward,
     stack_forward,
-    subsample_adjacency,
     temporal_conv_flat,
 )
 from stacked_stgcn.layers import (
@@ -34,6 +35,7 @@ from stacked_stgcn.training import sequence_loss
 
 from dense_reference import (
     blocks_to_dense,
+    chained_level_adjacency,
     dense_build_adjacency,
     dense_centering,
     dense_normalize,
@@ -75,14 +77,20 @@ def layer_params(rng, total_rows, d_in, d_out):
 
 def test_subsample_stride_one_identity():
     adj = chain_pair(4, 1)
-    assert subsample_adjacency(adj, 1) is adj
+    for a in (adj.a_s, adj.a_t):
+        same = subsample_blocks(a, 1)
+        assert np.array_equal(same, a) and np.shares_memory(same, a)
+    levels = build_level_adjacency(adj, levels=2, stride=1)
+    for lv in levels:
+        assert np.array_equal(lv.ns, levels[0].ns) and np.array_equal(lv.nt, levels[0].nt)
 
 
 def test_subsample_connectivity_depends_on_span():
-    short = subsample_adjacency(chain_pair(4, 1), 2)
-    assert short.num_steps == 2
-    assert not short.a_t.any()  # span-1 edges never reach across the gap
-    long = blocks_to_dense(subsample_adjacency(chain_pair(4, 2), 2).a_t)
+    short = subsample_blocks(chain_pair(4, 1).a_t, 2)
+    assert build_level_adjacency(chain_pair(4, 1), levels=1, stride=2)[1].num_steps == 2
+    assert len(short) == 2
+    assert not short.any()  # span-1 edges never reach across the gap
+    long = blocks_to_dense(subsample_blocks(chain_pair(4, 2).a_t, 2))
     assert long[0, 1] == 1.0 and long[1, 0] == 1.0
 
 
@@ -99,14 +107,60 @@ def test_subsample_preserves_invariants(rng):
     m = np.maximum(m, m.T)
     np.fill_diagonal(m, 0)
     adj = dense_pair(np.zeros_like(m), m, T - 1)
-    sub = subsample_adjacency(adj, 2)
-    assert sub.num_steps == 5
-    sub_t = blocks_to_dense(sub.a_t)
+    sub = subsample_blocks(adj.a_t, 2)
+    assert len(sub) == 5
+    sub_t = blocks_to_dense(sub)
     assert np.array_equal(sub_t, sub_t.T)
     assert np.all(sub_t >= 0)
     # surviving entries equal the original entries at kept timesteps
     keep = np.arange(0, T, 2)
     assert np.array_equal(sub_t, m[np.ix_(keep, keep)])
+
+
+def test_stride_below_one_rejected():
+    with pytest.raises(DimensionError, match="stride must be >= 1"):
+        build_level_adjacency(chain_pair(4, 1), levels=1, stride=0)
+
+
+def deformed_sequence(seed, span, T=23):
+    """A two-cluster synthetic sequence with random extra edges and dropped nodes."""
+    synth_cfg = SynthConfig(
+        num_classes=2, cluster_feature_lens=(3, 4), tracks_per_cluster=2,
+        t_range=(T, T), temporal_span=span,
+    )
+    seq, _ = synth_generate(synth_cfg, seed)
+    rng = np.random.default_rng(seed)
+    if seed:
+        seq = random_edges(seq, rng, span)
+    return apply_deformation(seq, sample_drop_schedule(seq, 0.25, rng))
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("cross", [False, True])
+def test_levels_equal_chained_subsample_then_normalize(levels, stride, cross):
+    for seed in range(3):
+        adj = build_adjacency(deformed_sequence(seed, span=5), 5, cross)
+        got = build_level_adjacency(adj, levels, stride)
+        want = chained_level_adjacency(adj, levels, stride)
+        assert len(got) == len(want) == levels + 1
+        for lv, (ns, nt) in zip(got, want):
+            assert np.array_equal(lv.ns, ns) and np.array_equal(lv.nt, nt)
+            assert lv.num_steps == len(nt) and lv.num_tracks == adj.num_tracks
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3])
+def test_prepare_levels_normalizes_levels_plus_two_times(monkeypatch, levels):
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return normalize_adjacency(a)
+
+    monkeypatch.setattr(hourglass, "normalize_adjacency", counted)
+    cfg = ModelConfig(cluster_feature_lens=(3, 4), num_classes=2, d_model=4, levels=levels)
+    StgcnModel(cfg, seed=0).prepare_levels(Window(deformed_sequence(1, span=3)))
+    assert len(calls) == levels + 2  # A_s once, A_t per level
 
 
 def random_edges(seq, rng, span):
@@ -136,16 +190,8 @@ def test_level_blocks_match_dense_construction(harmonization, span, stride):
         span=span, harmonization=harmonization,
         node_type_clusters=(("actor", 0), ("object", 1)),
     )
-    synth_cfg = SynthConfig(
-        num_classes=2, cluster_feature_lens=(3, 4), tracks_per_cluster=2,
-        t_range=(23, 23), temporal_span=span,
-    )
     for seed in range(3):
-        seq, _ = synth_generate(synth_cfg, seed)
-        rng = np.random.default_rng(seed)
-        if seed:
-            seq = random_edges(seq, rng, span)
-        seq = apply_deformation(seq, sample_drop_schedule(seq, 0.25, rng))
+        seq = deformed_sequence(seed, span)
         N = seq.num_tracks
         levels = StgcnModel(cfg, seed=0).prepare_levels(Window(seq))
         a_s, a_t = dense_build_adjacency(
