@@ -10,7 +10,8 @@ input step of a sequence subsampled by s); a dense matrix is the one-block
 case T = 1, b = 0.
 
 This module owns the layout: allocation, the symmetric edge scatter, stride
-subsampling and symmetric normalization. :func:`stacked_stgcn.tensor.banded_matmul`
+subsampling and symmetric normalization (checked, or unchecked for blocks
+built symmetric). :func:`stacked_stgcn.tensor.banded_matmul`
 applies block arrays to taped tensors.
 """
 
@@ -74,6 +75,17 @@ def raise_symmetric(blocks: np.ndarray, t, delta, i, j, w) -> None:
     np.maximum.at(blocks, (t + delta, b - delta, j, i), w)
 
 
+def set_symmetric(blocks: np.ndarray, t, delta, i, j, w) -> None:
+    """:func:`raise_symmetric` for edges of which no two share an entry, mirrors included.
+
+    Then each entry is written once, so on zero blocks assignment leaves the
+    same bits as the max over nonnegative weights.
+    """
+    b = blocks.shape[1] // 2
+    blocks[t, b + delta, i, j] = w
+    blocks[t + delta, b - delta, j, i] = w
+
+
 def subsample(blocks: np.ndarray, stride: int) -> np.ndarray:
     """Keep timesteps 0, s, 2s, ... and the offsets divisible by s = ``stride``, as a view.
 
@@ -95,20 +107,30 @@ def normalize_symmetric(blocks: np.ndarray) -> np.ndarray:
     if np.any(blocks < 0):
         raise ValidationError("adjacency entries must be nonnegative")
     T, width, N, _ = blocks.shape
-    spans = list(band_slices(T, width))
     inside = np.zeros((T, width), dtype=bool)
-    for k, delta, lo, hi in spans:
+    for k, delta, lo, hi in band_slices(T, width):
         inside[lo:hi, k] = True
         mirror = blocks[lo + delta : hi + delta, width - 1 - k].transpose(0, 2, 1)
         if not np.array_equal(blocks[lo:hi, k], mirror):
             raise ValidationError("adjacency must be symmetric")
     if blocks[~inside].any():
         raise ValidationError("adjacency blocks reach outside the sequence")
+    return normalize_built(blocks)
+
+
+def normalize_built(blocks: np.ndarray) -> np.ndarray:
+    """:func:`normalize_symmetric`'s arithmetic without its checks.
+
+    For blocks symmetric, nonnegative and zero outside the sequence by
+    construction, as :func:`raise_symmetric` and :func:`set_symmetric` on
+    :func:`zeros` leave them, and their :func:`subsample` views.
+    """
+    T, width, N, _ = blocks.shape
     a_hat = blocks.astype(np.float64)
     a_hat[:, width // 2] += np.eye(N)
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1).sum(axis=-1))
     out = np.zeros(blocks.shape, dtype=np.float64)
-    for k, delta, lo, hi in spans:
+    for k, delta, lo, hi in band_slices(T, width):
         rows, cols = d_inv_sqrt[lo:hi, :, None], d_inv_sqrt[lo + delta : hi + delta, None, :]
         out[lo:hi, k] = rows * a_hat[lo:hi, k] * cols
     return out

@@ -16,6 +16,7 @@ blocks of rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -53,7 +54,9 @@ class StgSequence:
     Edge rows may come as any array-like (arrays, tuples, JSON lists); they
     are stored once as read-only float64 arrays with whole-number indices.
     Presence and label masks (0, 1, true or false) are stored as bool,
-    presence once, as the read-only (T, N) grid ``presence``.
+    presence once, as the read-only (T, N) grid ``presence``. The first
+    window cut from a sequence orders each edge table by start step, once,
+    so that every window finds its rows by binary search.
     """
 
     num_steps: int
@@ -79,6 +82,19 @@ class StgSequence:
     @property
     def num_tracks(self) -> int:
         return len(self.tracks)
+
+    @functools.cached_property
+    def _step_index(self) -> Tuple["_StepIndex", "_StepIndex"]:
+        """The spatial and temporal tables' :class:`_StepIndex`, built on first use."""
+        N, T = self.num_tracks, self.num_steps
+        spatial, temporal = (e[:4].astype(np.int64)
+                             for e in _edge_ends(self.spatial_edges, self.temporal_edges))
+        i, t, j, _ = spatial
+        keep = i != j  # build_adjacency drops spatial self loops
+        lo, hi = np.minimum(i, j)[keep], np.maximum(i, j)[keep]
+        n1, t1, n2, t2 = temporal
+        return (_StepIndex.of(t, (t[keep] * N + lo) * N + hi),
+                _StepIndex.of(t1, ((n1 * T + t1) * N + n2) * T + t2))
 
 
 @dataclass(frozen=True)
@@ -133,7 +149,9 @@ class Window:
 
     def sequence(self) -> StgSequence:
         """The window copied into a sequence of its own; edges re-indexed, crossers dropped."""
-        spatial, temporal = _edges_within(self.seq, self.start, self.start + self.length)
+        rows = _window_rows(self.seq, self.start, self.start + self.length)
+        spatial, temporal = (table[np.sort(r)] for table, r in zip(
+            (self.seq.spatial_edges, self.seq.temporal_edges), rows))  # in table order
         return replace(
             self.seq,
             num_steps=self.length,
@@ -165,9 +183,9 @@ class AdjacencyPair:
 
 
 def _edge_table(rows, width: int, name: str) -> np.ndarray:
-    """Rows of ``width`` finite numbers, whole but for the weight, as read-only float64."""
+    """Rows of ``width`` finite numbers, whole but for the weight, as a read-only float64 copy."""
     try:
-        table = np.asarray(rows, dtype=np.float64)
+        table = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric rows
         raise ValidationError(f"{name}: rows must hold {width} numbers each ({exc})") from exc
     if table.shape == (0,):
@@ -180,17 +198,40 @@ def _edge_table(rows, width: int, name: str) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad.reshape(-1))) // width
         raise ValidationError(f"{name}: row {k} {table[k].tolist()} is not finite or not whole")
-    table = table.view()  # freeze a view, not the caller's buffer
-    table.flags.writeable = False
+    table.flags.writeable = False  # a copy: the caller's array stays the caller's
     return table
 
 
-def _edges_within(seq: StgSequence, start: int, stop: int):
-    """The spatial and temporal edge rows with both ends in timesteps [start, stop)."""
-    spatial, temporal = seq.spatial_edges, seq.temporal_edges
-    # t_i < t_j, so a temporal edge lies inside exactly when both of its ends do
-    return (spatial[(start <= spatial[:, 0]) & (spatial[:, 0] < stop)],
-            temporal[(start <= temporal[:, 1]) & (temporal[:, 3] < stop)])
+@dataclass(frozen=True)
+class _StepIndex:
+    """One edge table's row numbers sorted by start step (8 bytes per edge).
+
+    ``distinct`` says that no two edges, self loops aside, join the same two
+    node-time points, so no two write the same block entry, mirrors included.
+    """
+
+    steps: np.ndarray  # (E,) int32 start steps, ascending
+    order: np.ndarray  # (E,) int32 row numbers, stably sorted by start step
+    distinct: bool
+
+    @classmethod
+    def of(cls, starts: np.ndarray, ends: np.ndarray) -> "_StepIndex":
+        """Rows with start steps ``starts``, and one integer per edge naming its two ends."""
+        order = np.argsort(starts, kind="stable").astype(np.int32)
+        ends = np.sort(ends)
+        return cls(starts[order].astype(np.int32), order, not (ends[1:] == ends[:-1]).any())
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Row numbers of the edges that start in steps [start, stop), by start step."""
+        lo, hi = np.searchsorted(self.steps, (start, stop))
+        return self.order[lo:hi]
+
+
+def _window_rows(seq: StgSequence, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row numbers of the spatial and temporal edges with both ends in timesteps [start, stop)."""
+    spatial, temporal = (index.rows(start, stop) for index in seq._step_index)
+    # t_i < t_j, so a temporal edge that starts inside lies inside when it ends before stop
+    return spatial, temporal[seq.temporal_edges[temporal, 3] < stop]
 
 
 def _edge_ends(spatial: np.ndarray, temporal: np.ndarray):
@@ -291,15 +332,18 @@ def build_adjacency(
     a_t = blocks.zeros(L, span, N, DTYPE)
     cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
     # pick the window's rows first: only they are copied and converted
-    for ends in _edge_ends(*_edges_within(seq, start, start + L)):
+    rows = _window_rows(seq, start, start + L)
+    picked = _edge_ends(seq.spatial_edges[rows[0]], seq.temporal_edges[rows[1]])
+    for ends, index in zip(picked, seq._step_index):
         i, t, j, u = ends[:4].astype(np.intp) - [[0], [start], [0], [start]]  # window steps
         w, delta = ends[4].astype(DTYPE), u - t
         # spatial self loops are dropped; the normalization adds its own
         keep = ((i != j) | (delta > 0)) & (delta <= span)
         to_t = keep & ((delta > 0) | (cross_cluster_in_temporal & (cluster[i] != cluster[j])))
         to_s = keep & ~to_t
-        blocks.raise_symmetric(a_s, t[to_s], 0, i[to_s], j[to_s], w[to_s])
-        blocks.raise_symmetric(a_t, t[to_t], delta[to_t], i[to_t], j[to_t], w[to_t])
+        put = blocks.set_symmetric if index.distinct else blocks.raise_symmetric
+        put(a_s, t[to_s], 0, i[to_s], j[to_s], w[to_s])
+        put(a_t, t[to_t], delta[to_t], i[to_t], j[to_t], w[to_t])
     return AdjacencyPair(a_s=a_s, a_t=a_t, num_tracks=N, num_steps=L)
 
 

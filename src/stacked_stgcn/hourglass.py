@@ -24,12 +24,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as tn
+from .blocks import normalize_built
 from .blocks import subsample as subsample_blocks
 from .errors import DimensionError
 from .graph import AdjacencyPair
-from .layers import StgcnLayerParams, normalize_adjacency, stgcn_layer
-from .layers import assemble_rows  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .tensor import Tensor
+from .layers import StgcnLayerParams, stgcn_layer
+# perfbench/tracing.py wraps these two here
+from .layers import assemble_rows, normalize_adjacency  # noqa: F401
+from .tensor import DTYPE, Tensor
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,15 @@ def build_level_adjacency(adj: AdjacencyPair, levels: int, stride: int) -> List[
 
     A_s is block-diagonal and a block's normalization reads that block only,
     so A_s is normalized once and level l strides it by stride ** l. A_t is
-    subsampled by stride ** l from level 0 and normalized per level.
+    subsampled by stride ** l from level 0 and normalized per level. The
+    blocks are symmetric by construction, so the normalization skips the
+    checks that :func:`~stacked_stgcn.layers.normalize_adjacency` makes.
     """
     if stride < 1:
         raise DimensionError("stride must be >= 1")
-    ns = normalize_adjacency(adj.a_s)
-    nt = [normalize_adjacency(subsample_blocks(adj.a_t, stride**l)) for l in range(levels + 1)]
+    ns = normalize_built(adj.a_s).astype(DTYPE)
+    nt = [normalize_built(subsample_blocks(adj.a_t, stride**l)).astype(DTYPE)
+          for l in range(levels + 1)]
     return [LevelAdjacency(ns[:: stride**l], a, len(a), adj.num_tracks) for l, a in enumerate(nt)]
 
 

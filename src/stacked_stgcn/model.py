@@ -45,7 +45,7 @@ from .hourglass import (
 )
 from .layers import StgcnLayerParams, harmonize_projection, pooling_matrix, subtract_mean
 from .layers import flat_presence, spatial_project  # noqa: F401  (perfbench/tracing.py wraps them)
-from .tensor import DTYPE, Tape, Tensor
+from .tensor import DTYPE, Tape, Tensor, check_finite
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,10 @@ def fold_parameters(cfg: ModelConfig, params: Dict[str, np.ndarray]) -> Dict[str
 class ParameterStore(dict):
     """Parameter path -> writable float32 array; each item assignment bumps ``version``.
 
-    Read-only or non-float32 arrays are stored as float32 copies, others as
-    they are. Other dict mutators (``update``, ``pop``, ...) are not counted.
+    Read-only, non-float32 or non-C-contiguous arrays are stored as C-order
+    float32 copies, others as they are. Other dict mutators (``update``,
+    ``pop``, ...) are not counted. Assignment does not check finiteness:
+    updates (``sgd_step``) and loads (:meth:`StgcnModel.from_params`) do.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray]):
@@ -187,8 +189,8 @@ class ParameterStore(dict):
 
     def __setitem__(self, path: str, arr) -> None:
         arr = np.asarray(arr)
-        if arr.dtype != DTYPE or not arr.flags.writeable:
-            arr = np.array(arr, dtype=DTYPE)
+        if arr.dtype != DTYPE or not arr.flags.writeable or not arr.flags.c_contiguous:
+            arr = np.array(arr, dtype=DTYPE, order="C")
         super().__setitem__(path, arr)
         self.version += 1
 
@@ -224,6 +226,7 @@ class StgcnModel:
                     f"parameter {path!r} has shape {params[path].shape}, "
                     f"the model config implies {shape}"
                 )
+            check_finite(params[path], f"parameter {path!r}")
         model = cls.__new__(cls)
         model._set(cfg, {path: params[path] for path in table})
         return model
@@ -310,7 +313,9 @@ class StgcnModel:
         h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
         pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(cfg.levels + 1)]
         decoder = [(pools[l], blocks[-1].decoder[l], skips[l]) for l in reversed(range(cfg.levels))]
-        return head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
+        scores = head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
+        check_finite(scores.data, "scores")  # before any crop or mask drops a row
+        return scores
 
     def forward_taped(self, window: Window, levels=None):
         """Tape, taped params and scores of one window, on its :meth:`prepare_levels` if given."""

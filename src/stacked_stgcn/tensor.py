@@ -1,6 +1,8 @@
 """Dense tensors (rank <= 3, float32) and a reverse-mode differentiation tape.
 
-Tensors are immutable value objects, checked for finite values when built.
+Tensors are immutable value objects. The public constructor checks for
+finite values; op outputs are checked only where a non-finite value could
+vanish (see :func:`record`).
 Every arithmetic helper in this module works on plain values; when any input
 lives on a :class:`Tape`, the output is recorded there together with a
 backward rule, and :func:`backward` replays the rules in reverse to produce
@@ -52,6 +54,7 @@ __all__ = [
     "deconv1d_temporal",
     "tap_matmul",
     "record",
+    "check_finite",
     "dump_tensor",
     "load_tensor",
 ]
@@ -63,17 +66,8 @@ class Tensor:
     __slots__ = ("data", "tape", "tid")
 
     def __init__(self, data, tape: Optional["Tape"] = None, tid: Optional[int] = None):
-        arr = np.asarray(data, dtype=DTYPE)
-        if arr.ndim > 3:
-            raise DimensionError(f"rank {arr.ndim} exceeds the supported maximum of 3")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("non-finite value in tensor")
-        if arr is data:
-            arr = arr.view()  # freeze a view, not the caller's buffer
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "tape", tape)
-        object.__setattr__(self, "tid", tid)
+        _fill(self, data, tape, tid)
+        check_finite(self.data, "tensor")
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -84,6 +78,30 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
+
+
+def _fill(t: Tensor, data, tape: Optional["Tape"], tid: Optional[int]) -> Tensor:
+    arr = np.asarray(data, dtype=DTYPE)
+    if arr.ndim > 3:
+        raise DimensionError(f"rank {arr.ndim} exceeds the supported maximum of 3")
+    if arr is data:
+        arr = arr.view()  # freeze a view, not the caller's buffer
+    arr.setflags(write=False)
+    object.__setattr__(t, "data", arr)
+    object.__setattr__(t, "tape", tape)
+    object.__setattr__(t, "tid", tid)
+    return t
+
+
+def _unchecked(data, tape: Optional["Tape"] = None, tid: Optional[int] = None) -> Tensor:
+    """A tensor built without the finiteness scan: op outputs and watched parameters."""
+    return _fill(object.__new__(Tensor), data, tape, tid)
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`NumericalError` naming ``what`` if ``arr`` holds a NaN or an infinity."""
+    if not np.isfinite(arr).all():
+        raise NumericalError(f"non-finite value in {what}")
 
 
 class Tape:
@@ -109,8 +127,9 @@ class Tape:
 
         A float32 ``data`` is not copied: the tensor is a read-only view of it,
         so an in-place update of ``data`` (``sgd_step``) shows through.
+        Parameters are checked for finiteness where they change, not here.
         """
-        t = Tensor(data, tape=self, tid=self._fresh_id())
+        t = _unchecked(data, tape=self, tid=self._fresh_id())
         self._param_ids[t.tid] = t.data.shape
         return t
 
@@ -133,6 +152,12 @@ def record(
 ) -> Tensor:
     """Wrap ``out_data`` in a Tensor, recording ``grad_fn`` if any input is taped.
 
+    The output is not scanned for non-finite values: a NaN or infinity
+    carries through every later op, and the ops where one could vanish
+    (:func:`relu`, the row-dropping :func:`slice_axis` and
+    :func:`gather_rows`, :func:`sigmoid`) check their inputs, as the model
+    checks its scores.
+
     ``grad_fn`` receives the upstream gradient and returns one gradient array
     per input (``None`` for inputs that need none).
     """
@@ -140,9 +165,9 @@ def record(
     if len(tapes) > 1:
         raise ContractError("inputs belong to different tapes")
     if not tapes:
-        return Tensor(out_data)
+        return _unchecked(out_data)
     tape = tapes.pop()
-    out = Tensor(out_data, tape=tape, tid=tape._fresh_id())
+    out = _unchecked(out_data, tape=tape, tid=tape._fresh_id())
     input_ids = [x.tid if x.tape is tape else None for x in inputs]
     tape._records.append((out.tid, input_ids, grad_fn))
     return out
@@ -183,7 +208,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
             else:
                 grads[tid] = g
     return {
-        pid: grads.get(pid, np.zeros(shape, dtype=DTYPE))
+        pid: grads[pid] if pid in grads else np.zeros(shape, dtype=DTYPE)
         for pid, shape in tape._param_ids.items()
     }
 
@@ -242,6 +267,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    check_finite(x.data, "relu input")  # ReLU maps -inf to 0
     mask = x.data > 0  # ReLU'(0) = 0
 
     def grad_fn(gout):
@@ -252,6 +278,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    check_finite(x.data, "sigmoid input")  # maps -inf to 0 and +inf to 1
     xd = x.data
     out = np.empty_like(xd)
     pos = xd >= 0
@@ -304,6 +331,7 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    check_finite(x.data, "slice_axis input")  # the rows it drops
     shape = x.shape
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, stop)
@@ -329,6 +357,7 @@ def gather_rows(x: Tensor, indices: Iterable[int]) -> Tensor:
     idx = np.asarray(list(indices), dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise DimensionError("row index out of range")
+    check_finite(x.data, "gather_rows input")  # the rows it drops
     shape = x.shape
     repeats = idx.size > 0 and np.bincount(idx, minlength=shape[0]).max() > 1
 
@@ -423,7 +452,34 @@ def _temporal_rows(name: str, x: Tensor, kernel: Tensor, stride: int, nodes: int
     return x.data.reshape(rows // nodes, nodes, d_in), k, d_out
 
 
-def _tap_products(x: Tensor, kernel: Tensor, x3: np.ndarray, pairs, out_shape) -> Tensor:
+def _steps(index, steps: int):
+    """The steps that a slice or an index array picks out of ``steps``, as a range or the array."""
+    return range(steps)[index] if isinstance(index, slice) else index
+
+
+def _tap_buffer(shape, first_writes) -> np.ndarray:
+    """A buffer for tap products: empty where the first writers' steps cover every step."""
+    covered = sum(len(_steps(index, shape[0])) for index in first_writes)
+    return (np.empty if covered == shape[0] else np.zeros)(shape, dtype=DTYPE)
+
+
+def _put(buf: np.ndarray, index, a: np.ndarray, b: np.ndarray, first: bool) -> None:
+    """Write (``first``) or add the rows of ``a @ b`` at ``buf``'s steps ``index``."""
+    steps = _steps(index, buf.shape[0])
+    if first and isinstance(steps, range) and steps.step == 1:
+        n = buf.shape[1]
+        np.matmul(a, b, out=buf.reshape(-1, b.shape[1])[steps.start * n : steps.stop * n])
+        return
+    rows = (a @ b).reshape(-1, *buf.shape[1:])
+    if first:
+        buf[index] = rows
+    else:
+        buf[index] += rows
+
+
+def _tap_products(
+    x: Tensor, kernel: Tensor, x3: np.ndarray, pairs, out_shape, first_out: int, first_in: int
+) -> Tensor:
     """Rows ``out[dst_j] += x3[src_j] @ kernel[j]`` summed over the taps j, flattened.
 
     ``x3`` is ``x``'s data as (steps, nodes, d_in), ``out_shape`` is
@@ -432,21 +488,32 @@ def _tap_products(x: Tensor, kernel: Tensor, x3: np.ndarray, pairs, out_shape) -
     tap is one GEMM over all the nodes of its steps. The input gradient is
     the same sum with src and dst swapped and each tap transposed (a conv's
     is a deconv), and ``gk[j] = x3[src_j]ᵀ g[dst_j]``.
+
+    The caller states which taps write first: the dst steps of the first
+    ``first_out`` taps are pairwise disjoint, and so are the src steps of the
+    first ``first_in``. Those taps write their products (a contiguous run of
+    steps straight from the GEMM) instead of adding them to zeros, the rest
+    add in tap order, so every sum is the same; a buffer is zeroed only when
+    its first writers leave steps unwritten.
     """
     kd = kernel.data
     d_in, d_out = kd.shape[1:]
-    out = np.zeros(out_shape, dtype=DTYPE)
+    out = _tap_buffer(out_shape, [dst for _, dst in pairs[:first_out]])
     for j, (src, dst) in enumerate(pairs):
-        out[dst] += (x3[src].reshape(-1, d_in) @ kd[j]).reshape(-1, *out_shape[1:])
+        _put(out, dst, x3[src].reshape(-1, d_in), kd[j], j < first_out)
 
     def grad_fn(gout):
         g3 = gout.reshape(out_shape)
-        gx = np.zeros(x3.shape, dtype=DTYPE)
-        gk = np.zeros_like(kd)
+        gx = _tap_buffer(x3.shape, [src for src, _ in pairs[:first_in]])
+        gk = np.empty_like(kd)
         for j, (src, dst) in enumerate(pairs):
             g = g3[dst].reshape(-1, d_out)
-            gx[src] += (g @ kd[j].T).reshape(-1, *x3.shape[1:])
-            gk[j] = x3[src].reshape(-1, d_in).T @ g
+            _put(gx, src, g, kd[j].T, j < first_in)
+            rows = x3[src].reshape(-1, d_in)
+            if len(rows):
+                np.matmul(rows.T, g, out=gk[j])
+            else:  # a tap no row uses
+                gk[j] = 0
         return [gx.reshape(x.shape), gk]
 
     return record(out.reshape(-1, d_out), [x, kernel], grad_fn)
@@ -478,7 +545,8 @@ def conv1d_temporal(
         raise DimensionError(f"temporal extent {t_len} shorter than kernel {k}")
     n_out = (t_len - k) // stride + 1
     pairs = list(_strided_taps(k, stride, len(x3), n_out))
-    return _tap_products(x, kernel, x3, pairs, (n_out, nodes, d_out))
+    # every tap writes output steps from 0; taps less than a stride apart read disjoint steps
+    return _tap_products(x, kernel, x3, pairs, (n_out, nodes, d_out), 1, min(k, stride))
 
 
 def deconv1d_temporal(
@@ -497,7 +565,7 @@ def deconv1d_temporal(
     if t_out > t_full:
         raise DimensionError(f"deconv produces {t_full} steps, need {t_out}")
     pairs = [(src, dst) for dst, src in _strided_taps(k, stride, t_out, len(x3))]
-    return _tap_products(x, kernel, x3, pairs, (t_out, nodes, d_out))
+    return _tap_products(x, kernel, x3, pairs, (t_out, nodes, d_out), min(k, stride), 1)
 
 
 def tap_matmul(x: Tensor, kernel: Tensor, taps) -> Tensor:
@@ -518,7 +586,9 @@ def tap_matmul(x: Tensor, kernel: Tensor, taps) -> Tensor:
     if taps.size and (taps.min() < 0 or taps.max() >= k):
         raise DimensionError(f"tap index out of range for a kernel of {k} taps")
     pairs = [(rows, rows) for rows in (np.flatnonzero(taps == j) for j in range(k))]
-    return _tap_products(x, kernel, x.data.reshape(-1, 1, d_in), pairs, (len(taps), 1, d_out))
+    # each row uses one tap, so every tap writes first on both sides
+    x3 = x.data.reshape(-1, 1, d_in)
+    return _tap_products(x, kernel, x3, pairs, (len(taps), 1, d_out), k, k)
 
 
 # ---------------------------------------------------------------------------

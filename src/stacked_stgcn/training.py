@@ -18,11 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DictCodec, atomic_write
-from .errors import NumericalError, ValidationError
+from .errors import ContractError, NumericalError, ValidationError
 from .graph import StgSequence, Window
 from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
 from .model import ModelConfig, StgcnModel
-from .tensor import DTYPE, Tensor, backward, dump_tensor, load_tensor, record
+from .tensor import DTYPE, Tensor, backward, check_finite, dump_tensor, load_tensor, record
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class TrainConfig(DictCodec):
     def __post_init__(self):
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise ValidationError("lr0 must be finite and positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(DTYPE(self.lr0)):
+                raise ValidationError(f"lr0 {self.lr0!r} overflows float32, the update's precision")
         if not 0 <= self.momentum < 1:
             raise ValidationError("momentum must be in [0, 1)")
         if not 0 < self.sched_drop <= 1:
@@ -112,6 +115,10 @@ def sequence_loss(scores: Tensor, window: Window, mode: str) -> Tensor:
 # optimizer and schedule
 
 
+# floats per block of the SGD update: its temporary and the block stay in cache
+UPDATE_BLOCK = 1 << 16
+
+
 def step_lr(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr0 * cfg.sched_drop ** (epoch // cfg.sched_step)
 
@@ -123,18 +130,34 @@ def sgd_step(
     momentum: float = 0.0,
     velocity: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
-    """In-place SGD update p <- p - lr * g, with optional momentum."""
+    """In-place SGD update p <- p - lr * g, with optional momentum.
+
+    Each parameter is updated in blocks of ``UPDATE_BLOCK`` floats through
+    one small temporary, so no model-sized ``lr * g`` is built, and each
+    block is checked as it is written: a non-finite value raises
+    :class:`NumericalError` naming the parameter. Parameters must be
+    C-contiguous, as a :class:`~stacked_stgcn.model.ParameterStore` keeps them.
+    """
     if lr <= 0:
         raise ValidationError("learning rate must be positive")
+    step, tmp = DTYPE(lr), np.empty(UPDATE_BLOCK, dtype=DTYPE)
     for key, p in params.items():
-        g = grads[key]
+        if not p.flags.c_contiguous:
+            raise ContractError(f"parameter {key!r} is not C-contiguous")
+        flat, g = p.reshape(-1), grads[key].reshape(-1)
         if momentum > 0:
             assert velocity is not None
-            v = velocity.setdefault(key, np.zeros_like(p))
-            v *= DTYPE(momentum)
-            v += g
-            g = v
-        p -= DTYPE(lr) * g
+            v = velocity.setdefault(key, np.zeros_like(p)).reshape(-1)
+        for lo in range(0, flat.size, UPDATE_BLOCK):
+            part = slice(lo, lo + UPDATE_BLOCK)
+            block, gb = flat[part], g[part]
+            if momentum > 0:
+                vb = v[part]
+                vb *= DTYPE(momentum)
+                vb += gb
+                gb = vb
+            block -= np.multiply(gb, step, out=tmp[: len(block)])
+            check_finite(block, f"parameter {key!r} after the update")
         params[key] = p  # the same array: bumps a ParameterStore's version
 
 

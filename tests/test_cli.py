@@ -428,6 +428,24 @@ def test_a_non_finite_first_epoch_exits_3_and_leaves_no_output(dataset, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_non_finite_update_exits_3_naming_the_parameter_before_any_checkpoint(tmp_path, capsys):
+    # features of ~100 give first-layer gradients above 1.2, and 3e38 * 1.2 overflows float32
+    synth = dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], mean_scale=100.0))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", write_json(tmp_path / "synth.json", synth),
+                 "--seed", "5", "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    rc = main(["train", "--manifest", str(data / "manifest.json"),
+               "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+               "--train-config", write_json(tmp_path / "train.json",
+                                            dict(TRAIN_CONFIG, lr0=3e38, epochs=1)),
+               "--seed", "0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3 and "parameter 'block0/enc0/ws0' after the update" in err
+    assert not out.exists()
+
+
 def test_multi_label_pipeline(tmp_path):
     synth = {
         "synth": dict(SYNTH_CONFIG["synth"], mode="multi"),
@@ -876,13 +894,14 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
         ("train", {"max_window": 2.5}, "max_window"),
         ("train", {"lr0": float("nan")}, "lr0"),
         ("train", {"lr0": float("inf")}, "lr0"),
+        ("train", {"lr0": 1e39}, "lr0"),  # finite as a float64, inf as the float32 update
         ("train", {"momentum": -0.5}, "momentum"),
         ("train", {"momentum": 1.0}, "momentum"),
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
          "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
          "decoder-stgcn", "skip-false", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
-         "momentum-negative", "momentum-one"],
+         "lr0-overflows-float32", "momentum-negative", "momentum-one"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
     model_change, train_change = (change, {}) if which == "model" else ({}, change)

@@ -198,6 +198,17 @@ def test_building_a_sequence_leaves_the_callers_edge_array_writable():
     assert np.array_equal(built.temporal_edges, mine)
 
 
+def test_later_writes_to_the_callers_edge_array_do_not_reach_the_sequence():
+    seq = chain_sequence(T=10, span=2)
+    mine = np.array(seq.temporal_edges)
+    built = replace(seq, temporal_edges=mine)
+    before = np.array(built.temporal_edges)
+    mine[0, 4] = -5  # a negative weight
+    mine[1, 3] = 99  # an end past T
+    assert np.array_equal(built.temporal_edges, before)
+    assert np.array_equal(build_adjacency(built, 2).a_t, build_adjacency(seq, 2).a_t)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_feature_rejected_naming_the_track(value):
     seq = chain_sequence(T=3, span=1, num_tracks=2)
@@ -506,6 +517,48 @@ def test_window_copies_equal_the_per_track_reference(seed, mode, place, length, 
     assert np.array_equal(window.presence, reference_flat_presence(want))
     assert np.array_equal(window.labels, want.labels)
     assert np.array_equal(window.label_mask, want.label_mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    span=st.integers(1, 4),
+    cross=st.booleans(),
+    repeats=st.booleans(),
+    place=st.sampled_from(["from_start", "inside", "to_end", "past_T"]),
+    length=st.integers(1, 16),
+    offset=st.floats(0.0, 1.0),
+)
+def test_window_blocks_cut_by_the_step_index_equal_the_dense_oracle(
+    seed, span, cross, repeats, place, length, offset
+):
+    cfg = SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), tracks_per_cluster=2,
+                      t_range=(2, 16), temporal_span=span + 1)
+    seq, _ = synth_generate(cfg, seed)
+    rng = np.random.default_rng(seed + 1)
+    seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, rng, burst=2))
+    tables = [np.array(seq.spatial_edges), np.array(seq.temporal_edges)]
+    if repeats:  # duplicated rows of both tables, and the spatial ones mirrored too
+        twins = [rows[rng.integers(0, len(rows), 4)] if len(rows) else rows for rows in tables]
+        tables = [np.vstack([tables[0], twins[0], twins[0][:, [0, 2, 1, 3]]]),
+                  np.vstack([tables[1], twins[1]])]
+    for rows in tables:  # each row a weight of its own, in no particular row order
+        rows[:, -1] = rng.uniform(0.1, 1.0, len(rows))
+        rng.shuffle(rows)
+    seq = replace(seq, spatial_edges=tables[0], temporal_edges=tables[1])
+    # both block writes run: assignment where no entry repeats, the max where one does
+    assert [index.distinct for index in seq._step_index] == [
+        not (repeats and len(rows)) for rows in (seq.spatial_edges, seq.temporal_edges)]
+    T = seq.num_steps
+    if place == "past_T":
+        start, length = 0, T + length
+    else:
+        length = min(length, T)
+        start = {"from_start": 0, "inside": int(offset * (T - length)), "to_end": T - length}[place]
+    got = build_adjacency(seq, span, cross, start, length)
+    want_s, want_t = dense_build_adjacency(window_copy(seq, start, length), span, cross)
+    assert np.array_equal(blocks_to_dense(got.a_s), want_s)
+    assert np.array_equal(blocks_to_dense(got.a_t), want_t)
 
 
 def test_sliced_window_blocks_drop_edges_across_the_border():

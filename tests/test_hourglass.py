@@ -8,6 +8,7 @@ import pytest
 from dataclasses import replace
 
 from stacked_stgcn import hourglass
+from stacked_stgcn.blocks import normalize_built
 from stacked_stgcn.blocks import subsample as subsample_blocks
 from stacked_stgcn.errors import DimensionError
 from stacked_stgcn.graph import AdjacencyPair, Window, apply_deformation, build_adjacency
@@ -24,7 +25,6 @@ from stacked_stgcn.layers import (
     StgcnLayerParams,
     centering_matrix,
     flat_presence,
-    normalize_adjacency,
     pooling_matrix,
     stgcn_layer,
 )
@@ -155,9 +155,9 @@ def test_prepare_levels_normalizes_levels_plus_two_times(monkeypatch, levels):
 
     def counted(a):
         calls.append(a.shape)
-        return normalize_adjacency(a)
+        return normalize_built(a)
 
-    monkeypatch.setattr(hourglass, "normalize_adjacency", counted)
+    monkeypatch.setattr(hourglass, "normalize_built", counted)
     cfg = ModelConfig(cluster_feature_lens=(3, 4), num_classes=2, d_model=4, levels=levels)
     StgcnModel(cfg, seed=0).prepare_levels(Window(deformed_sequence(1, span=3)))
     assert len(calls) == levels + 2  # A_s once, A_t per level

@@ -10,12 +10,12 @@ import pytest
 
 from stacked_stgcn import model as model_module
 from stacked_stgcn import tensor as tn
-from stacked_stgcn.errors import ConfigurationError, ValidationError
+from stacked_stgcn.errors import ConfigurationError, NumericalError, ValidationError
 from stacked_stgcn.evaluate import sliding_infer, window_starts
 from stacked_stgcn.gradcheck import check_model_gradients
-from stacked_stgcn.graph import Window, load_stgs
+from stacked_stgcn.graph import Window, apply_deformation, load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel, parameter_table
-from stacked_stgcn.synth import SynthConfig, synth_generate
+from stacked_stgcn.synth import SynthConfig, sample_drop_schedule, synth_generate
 from stacked_stgcn.tensor import DTYPE, backward
 from stacked_stgcn.training import (
     TrainConfig,
@@ -322,6 +322,59 @@ def test_folded_view_follows_the_store_version(tmp_path):
     assert np.array_equal(loaded.forward_scores(seq), after_assign)
     model = loaded
     folded_matches_taped()
+
+
+# The op outputs that are not scanned for finiteness. A non-finite value in any of
+# them must still reach a check: a ReLU input, a row-dropping op's input or the scores.
+UNSCANNED_OPS = ("banded_matmul", "matmul", "add", "conv1d_temporal", "deconv1d_temporal",
+                 "tap_matmul", "slice_axis")
+
+
+def count_or_inject(patch, op, call=None, value=0.0, spot=0):
+    """Wrap ``tn.<op>`` to count its calls and put ``value`` at flat ``spot`` of call ``call``."""
+    calls = []
+    orig = getattr(tn, op)
+
+    def wrapped(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        if len(calls) == call:
+            data = np.array(out.data)
+            data.flat[spot] = value
+            out = tn._unchecked(data, out.tape, out.tid)
+        calls.append(op)
+        return out
+
+    patch.setattr(tn, op, wrapped)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("op", UNSCANNED_OPS)
+def test_a_non_finite_op_output_is_caught_at_a_boundary(monkeypatch, op, value):
+    # two blocks (a deconv decoder and the pooled head's tap_matmul), biases, and T = 13
+    # steps, so the head crops rows at both levels; absent nodes give zero pooling weights
+    cfg = ModelConfig(cluster_feature_lens=(3, 4), num_classes=3, d_model=4, levels=2, span=2,
+                      stack_depth=2, gcn_bias=True)
+    seq = sequence_for(cfg)
+    seq = apply_deformation(seq, sample_drop_schedule(seq, 0.3, np.random.default_rng(2)))
+    seq = Window(seq, 0, 13).sequence()
+    model = with_nonzero_biases(StgcnModel(cfg, seed=0))
+    runs = {
+        "forward_taped": lambda: model.forward_taped(Window(seq)),
+        "score_windows": lambda: model.score_windows(seq, [0, 4], 9),
+    }
+    for name, run in runs.items():
+        with monkeypatch.context() as patch:
+            calls = count_or_inject(patch, op)
+            run()
+        assert calls, (op, name)
+        for call in range(len(calls)):
+            for spot in (0, -1):
+                with monkeypatch.context() as patch:
+                    count_or_inject(patch, op, call, value, spot)
+                    with pytest.raises(NumericalError):
+                        run()
 
 
 def test_from_params_stores_writable_float32_arrays():

@@ -234,6 +234,80 @@ def test_deconv_with_transposed_taps_is_the_adjoint_of_conv(rng, k, stride):
                 assert abs(lhs - rhs) <= 1e-6 * scale, (nodes, pad, T, lhs, rhs)
 
 
+def head_tap_products(x3, kernel, pairs, out_shape, gout):
+    """The tap core as a plain formula: zero buffers, one ``+=`` per tap in order, and
+    ``gk[j] = x3[src]ᵀ g[dst]``; returns the output and both vector-Jacobian products."""
+    d_in, d_out = kernel.shape[1:]
+    out = np.zeros(out_shape, dtype=np.float32)
+    for j, (src, dst) in enumerate(pairs):
+        out[dst] += (x3[src].reshape(-1, d_in) @ kernel[j]).reshape(-1, *out_shape[1:])
+    g3 = gout.reshape(out_shape)
+    gx, gk = np.zeros(x3.shape, dtype=np.float32), np.zeros_like(kernel)
+    for j, (src, dst) in enumerate(pairs):
+        g = g3[dst].reshape(-1, d_out)
+        gx[src] += (g @ kernel[j].T).reshape(-1, *x3.shape[1:])
+        gk[j] = x3[src].reshape(-1, d_in).T @ g
+    return out.reshape(-1, d_out), gx.reshape(-1, d_in), gk
+
+
+def strided_pairs(k, stride, steps, count):
+    """Tap j: steps j, j + stride, ... below ``steps`` (at most ``count``), and steps 0, 1, ..."""
+    ns = [max(0, min(count, -(-(steps - j) // stride))) for j in range(k)]
+    return [(slice(j, j + n * stride, stride), slice(0, n)) for j, n in enumerate(ns)]
+
+
+def tap_op_cases(kind, rng):
+    """(op, x, kernel, pairs, out_shape) over odd step counts, pads, crops and strides."""
+    d_in, d_out = 3, 2
+    for k in (1, 2, 3):
+        for stride in (1, 2, 3):
+            kernel = rng.uniform(-1, 1, (k, d_in, d_out)).astype(np.float32)
+            for nodes in (1, 3):
+                for T in (3, 7, 9):
+                    x = rng.uniform(-1, 1, (T * nodes, d_in)).astype(np.float32)
+                    x3 = x.reshape(T, nodes, d_in)
+                    if kind == "conv":
+                        for pad in (0, 1, 2):
+                            if T + pad < k:
+                                continue
+                            n_out = (T + pad - k) // stride + 1
+                            yield (lambda a, b, s=stride, n=nodes, p=pad:
+                                   tn.conv1d_temporal(a, b, s, n, p),
+                                   x3, kernel, strided_pairs(k, stride, T, n_out),
+                                   (n_out, nodes, d_out))
+                    elif kind == "deconv":
+                        t_full = (T - 1) * stride + k
+                        for steps in (t_full, t_full - 1, T):
+                            pairs = [(src, dst) for dst, src in strided_pairs(k, stride, steps, T)]
+                            yield (lambda a, b, s=stride, n=nodes, t=steps:
+                                   tn.deconv1d_temporal(a, b, s, n, t),
+                                   x3, kernel, pairs, (steps, nodes, d_out))
+                    elif nodes == 1:
+                        taps = rng.integers(0, k, T)
+                        taps[taps == k - 1] = 0  # the last tap unused (when k > 1)
+                        pairs = [(r, r) for r in (np.flatnonzero(taps == j) for j in range(k))]
+                        yield (lambda a, b, t=taps: tn.tap_matmul(a, b, t),
+                               x3, kernel, pairs, (T, 1, d_out))
+
+
+@pytest.mark.parametrize("kind", ["conv", "deconv", "tap_matmul"])
+def test_tap_ops_equal_the_zero_and_add_formula_bit_for_bit(kind):
+    # the first taps write their products in place; every sum keeps its bits, signed zeros too
+    rng = np.random.default_rng(29)
+    cases = 0
+    for op, x3, kernel, pairs, out_shape in tap_op_cases(kind, rng):
+        gout = rng.uniform(-1, 1, (out_shape[0] * out_shape[1], out_shape[2])).astype(np.float32)
+        tape = Tape()
+        x, k = tape.watch(x3.reshape(-1, x3.shape[2])), tape.watch(kernel)
+        out = op(x, k)
+        grads = backward(tape, tn.sum_all(tn.mul(out, Tensor(gout))))  # upstream exactly gout
+        want = head_tap_products(x3, kernel, pairs, out_shape, gout)
+        for got, ref in zip((out.data, grads[x.tid], grads[k.tid]), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (kind, out_shape)
+        cases += 1
+    assert cases >= 27
+
+
 def test_deconv_crop_beyond_output_rejected():
     with pytest.raises(DimensionError):
         tn.deconv1d_temporal(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1, 1))), 2, steps=5)

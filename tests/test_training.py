@@ -152,6 +152,38 @@ def test_sgd_momentum_is_heavy_ball(rng):
     np.testing.assert_allclose(params["w"], expected, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_blocked_sgd_step_equals_the_whole_array_update(rng, momentum):
+    # sizes off the block grid: one short block, a partial last block, a 2-D parameter
+    block = training.UPDATE_BLOCK
+    shapes = {"a": (5,), "b": (block + 3,), "c": (2 * block - 1,), "d": (3, block // 2 + 7)}
+    params = {k: rng.uniform(-1, 1, s).astype(np.float32) for k, s in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    velocity, want_v = {}, {k: np.zeros_like(p) for k, p in params.items()}
+    for lr in (0.05, 0.3):
+        grads = {k: rng.uniform(-1, 1, s).astype(np.float32) for k, s in shapes.items()}
+        sgd_step(params, grads, lr, momentum, velocity)
+        for k, g in grads.items():
+            if momentum > 0:
+                want_v[k] = want_v[k] * np.float32(momentum) + g
+                g = want_v[k]
+            want[k] = want[k] - np.float32(lr) * g
+    for k in shapes:
+        assert params[k].dtype == np.float32 and np.array_equal(params[k], want[k]), k
+        if momentum > 0:
+            assert np.array_equal(velocity[k], want_v[k]), k
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sgd_step_rejects_a_non_finite_update_naming_the_parameter():
+    block = training.UPDATE_BLOCK
+    params = {"w": np.ones(2 * block + 5, dtype=np.float32), "v": np.ones(3, dtype=np.float32)}
+    grads = {k: np.ones_like(p) for k, p in params.items()}
+    grads["w"][-1] = 1e30  # in the last, partial block
+    with pytest.raises(NumericalError, match="parameter 'w'"):
+        sgd_step(params, grads, lr=1e10)
+
+
 def test_sgd_rejects_nonpositive_lr():
     with pytest.raises(ValidationError):
         sgd_step({"w": np.zeros(1, dtype=np.float32)}, {"w": np.zeros(1, dtype=np.float32)}, 0.0)
