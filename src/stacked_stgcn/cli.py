@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .config import DictCodec, atomic_write, read_json
 from .errors import ContractError, DimensionError, NumericalError, ValidationError
 from .evaluate import evaluate_multi, evaluate_single, sliding_infer
@@ -265,7 +267,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        # non-finite values are checked where they matter and exit 3 with one
+        # message; numpy's own overflow warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValidationError, ContractError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

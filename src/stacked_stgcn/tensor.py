@@ -5,9 +5,11 @@ finite values; op outputs are checked only where a non-finite value could
 vanish (see :func:`record`).
 Every arithmetic helper in this module works on plain values; when any input
 lives on a :class:`Tape`, the output is recorded there together with a
-backward rule, and :func:`backward` replays the rules in reverse to produce
-parameter gradients. With no taped input an op records nothing and keeps no
-closure, which is how inference runs: the same ops on untaped tensors.
+backward rule, and :func:`gradients` replays the rules in reverse, yielding
+each parameter's gradient as soon as the last record that reads the
+parameter has replayed (:func:`backward` collects them into a dict). With no
+taped input an op records nothing and keeps no closure, which is how
+inference runs: the same ops on untaped tensors.
 
 The temporal conv, its transpose and ``tap_matmul`` are one linear map,
 a sum over kernel taps of row products, and share one recorded core: each
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ DTYPE = np.float32
 __all__ = [
     "Tensor",
     "Tape",
+    "gradients",
     "backward",
     "matmul",
     "add",
@@ -105,7 +108,7 @@ def check_finite(arr: np.ndarray, what: str) -> None:
 
 
 class Tape:
-    """Records operations so that :func:`backward` can replay them in reverse.
+    """Records operations so that :func:`gradients` can replay them in reverse.
 
     A tape is single-use: after one backward pass it must be reset (or
     discarded) before recording again.
@@ -114,6 +117,7 @@ class Tape:
     def __init__(self):
         self._records: list = []  # (out_id, [input ids or None], grad_fn)
         self._param_ids: dict = {}  # tid -> shape
+        self._uses: dict = {}  # parameter tid -> reads by records not yet replayed
         self._next_id = 0
         self._consumed = False
 
@@ -131,6 +135,7 @@ class Tape:
         """
         t = _unchecked(data, tape=self, tid=self._fresh_id())
         self._param_ids[t.tid] = t.data.shape
+        self._uses[t.tid] = 0
         return t
 
     def relu_masks(self) -> list:
@@ -141,6 +146,7 @@ class Tape:
         """Clear all records, parameters and the consumed flag."""
         self._records.clear()
         self._param_ids.clear()
+        self._uses.clear()
         self._next_id = 0
         self._consumed = False
 
@@ -169,17 +175,28 @@ def record(
     tape = tapes.pop()
     out = _unchecked(out_data, tape=tape, tid=tape._fresh_id())
     input_ids = [x.tid if x.tape is tape else None for x in inputs]
+    uses = tape._uses
+    for tid in input_ids:
+        if tid in uses:
+            uses[tid] += 1
     tape._records.append((out.tid, input_ids, grad_fn))
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> dict:
-    """Gradient of a scalar ``loss`` with respect to every watched parameter.
+def gradients(tape: Tape, loss: Tensor) -> Iterator[Tuple[int, np.ndarray]]:
+    """Gradient of a scalar ``loss`` with respect to each watched parameter, streamed.
 
-    Returns a map from parameter id to gradient array; parameters the loss
-    does not depend on get exact zeros. A tape supports one backward pass
-    until reset: the sweep pops each record, and drops each intermediate
-    adjoint once its producer has consumed it, so memory falls as it runs.
+    Yields ``(parameter id, gradient)`` once per watched parameter, as soon
+    as the last record that reads the parameter has replayed: from then on
+    no backward rule reads the parameter's array, so the consumer may update
+    it in place (:func:`~stacked_stgcn.training.sgd_step`) and drop the
+    gradient before the sweep makes the next one. Parameters no record
+    reads come last, in watch order, as exact zeros.
+
+    A tape supports one backward pass until reset: the sweep pops each
+    record, and drops each intermediate adjoint once its producer has
+    consumed it, so memory falls as it runs. The checks run at the call;
+    the sweep runs as the stream is read.
     """
     if loss.tape is not tape:
         raise ContractError("loss was not produced on this tape")
@@ -188,29 +205,47 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     if tape._consumed:
         raise ContractError("backward already called on this tape; reset first")
     tape._consumed = True
+    return _sweep(tape, loss.tid)
 
-    grads: dict = {loss.tid: np.ones((), dtype=DTYPE)}
-    records = tape._records
+
+def _sweep(tape: Tape, loss_id: int) -> Iterator[Tuple[int, np.ndarray]]:
+    grads: dict = {loss_id: np.ones((), dtype=DTYPE)}
+    records, uses = tape._records, tape._uses
+
+    def take(pid):
+        g = grads.pop(pid, None)
+        return pid, np.zeros(tape._param_ids[pid], dtype=DTYPE) if g is None else g
+
     while records:
         # newest first: every consumer of ``out_id`` has already added to its
         # adjoint, and no later record reads it (outputs are never parameters)
         out_id, input_ids, grad_fn = records.pop()
         gout = grads.pop(out_id, None)
-        if gout is None:
-            continue
-        contribs = grad_fn(gout)
-        for tid, g in zip(input_ids, contribs):
-            if tid is None or g is None:
-                continue
-            g = np.asarray(g, dtype=DTYPE)
-            if tid in grads:
-                grads[tid] = grads[tid] + g
-            else:
-                grads[tid] = g
-    return {
-        pid: grads[pid] if pid in grads else np.zeros(shape, dtype=DTYPE)
-        for pid, shape in tape._param_ids.items()
-    }
+        if gout is not None:
+            for tid, g in zip(input_ids, grad_fn(gout)):
+                if tid is None or g is None:
+                    continue
+                g = np.asarray(g, dtype=DTYPE)
+                grads[tid] = grads[tid] + g if tid in grads else g
+        for tid in input_ids:
+            if tid in uses:
+                uses[tid] -= 1
+                if not uses[tid]:  # its last reader has replayed
+                    del uses[tid]
+                    yield take(tid)
+    for pid in list(uses):  # read by no record
+        del uses[pid]
+        yield take(pid)
+
+
+def backward(tape: Tape, loss: Tensor) -> dict:
+    """Gradient of a scalar ``loss`` with respect to every watched parameter.
+
+    Returns a map from parameter id to gradient array, collected from
+    :func:`gradients` (in its order); parameters the loss does not depend
+    on get exact zeros.
+    """
+    return dict(gradients(tape, loss))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ plain SGD with an exponential step schedule lr(e) = lr0 * drop^floor(e / step).
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from .errors import ContractError, NumericalError, ValidationError
 from .graph import StgSequence, Window
 from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
 from .model import ModelConfig, StgcnModel
-from .tensor import DTYPE, Tensor, backward, check_finite, dump_tensor, load_tensor, record
+from .tensor import DTYPE, Tensor, dump_tensor, gradients, load_tensor, record
+from .tensor import backward  # noqa: F401  (perfbench/tracing.py wraps it)
 
 
 @dataclass(frozen=True)
@@ -125,26 +128,39 @@ def step_lr(epoch: int, cfg: TrainConfig) -> float:
 
 def sgd_step(
     params: Dict[str, np.ndarray],
-    grads: Dict[str, np.ndarray],
+    grads: Union[Mapping[str, np.ndarray], Iterable[Tuple[str, np.ndarray]]],
     lr: float,
     momentum: float = 0.0,
     velocity: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
     """In-place SGD update p <- p - lr * g, with optional momentum.
 
+    ``grads`` maps parameter paths to gradients, or is an iterable of
+    ``(path, gradient)`` pairs, such as :func:`train`'s stream from
+    :func:`~stacked_stgcn.tensor.gradients`: each parameter is then updated
+    as soon as the backward sweep has finished its gradient, while the
+    gradient is still in cache, and the gradient is dropped before the next
+    is made, so no model-sized gradient set is ever held.
+
     Each parameter is updated in blocks of ``UPDATE_BLOCK`` floats through
     one small temporary, so no model-sized ``lr * g`` is built, and each
-    block is checked as it is written: a non-finite value raises
-    :class:`NumericalError` naming the parameter. Parameters must be
-    C-contiguous, as a :class:`~stacked_stgcn.model.ParameterStore` keeps them.
+    block is checked as it is written. A non-finite value does not stop the
+    pairs: once all are applied, :class:`NumericalError` names the first
+    non-finite parameter in the order of ``params``, whatever order the
+    pairs came in. Parameters must be C-contiguous, as a
+    :class:`~stacked_stgcn.model.ParameterStore` keeps them.
     """
     if lr <= 0:
         raise ValidationError("learning rate must be positive")
+    if isinstance(grads, Mapping):
+        grads = grads.items()
     step, tmp = DTYPE(lr), np.empty(UPDATE_BLOCK, dtype=DTYPE)
-    for key, p in params.items():
+    non_finite = set()
+    for key, g in grads:
+        p = params[key]
         if not p.flags.c_contiguous:
             raise ContractError(f"parameter {key!r} is not C-contiguous")
-        flat, g = p.reshape(-1), grads[key].reshape(-1)
+        flat, g = p.reshape(-1), g.reshape(-1)
         if momentum > 0:
             assert velocity is not None
             v = velocity.setdefault(key, np.zeros_like(p)).reshape(-1)
@@ -157,8 +173,32 @@ def sgd_step(
                 vb += gb
                 gb = vb
             block -= np.multiply(gb, step, out=tmp[: len(block)])
-            check_finite(block, f"parameter {key!r} after the update")
+            if not np.isfinite(block).all():
+                non_finite.add(key)
         params[key] = p  # the same array: bumps a ParameterStore's version
+    for key in params:
+        if key in non_finite:
+            raise NumericalError(f"non-finite value in parameter {key!r} after the update")
+
+
+def keep_freed_heap() -> None:
+    """Let glibc's malloc keep a training step's freed memory for the next step.
+
+    A step frees all it allocated, much of it at the top of the heap; past
+    the trim threshold (adaptive, about twice the largest array freed so
+    far) glibc gives that memory back to the OS, and the next step faults
+    every page in again (on the cad120 preset, up to 3k minor faults per
+    step at N=6 and 15k at N=40, depending on where the heap's live blocks
+    happen to lie). Fixed thresholds keep the pages. This sets process-wide
+    malloc parameters; on other platforms it does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling of glibc's adaptive rule
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as that rule sets it
 
 
 def train_window_sample(seq: StgSequence, max_window: int, rng: np.random.Generator) -> Window:
@@ -212,7 +252,9 @@ def train(
     """Train a model; deterministic given the config seed.
 
     Returns the trained model and the loss curve. When ``out_dir`` is given,
-    a checkpoint is written per epoch along with the curve CSV.
+    a checkpoint is written per epoch along with the curve CSV. Each step
+    streams its gradients into :func:`sgd_step`, and :func:`keep_freed_heap`
+    keeps the memory a step frees for the next.
     """
     if not dataset:
         raise ValidationError("empty training dataset")
@@ -223,6 +265,7 @@ def train(
             )
     if model is None:
         model = StgcnModel(model_cfg, seed=train_cfg.seed)
+    keep_freed_heap()
     rng = np.random.default_rng(train_cfg.seed + 1)
     velocity: Dict[str, np.ndarray] = {}
     curve: List[CurvePoint] = []
@@ -240,9 +283,9 @@ def train(
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, sequence {i}"
                 )
-            grads_by_id = backward(tape, loss)
-            grads = {path: grads_by_id[t.tid] for path, t in taped.items()}
-            sgd_step(model.params, grads, lr, train_cfg.momentum, velocity)
+            paths = {t.tid: path for path, t in taped.items()}
+            stream = ((paths[tid], g) for tid, g in gradients(tape, loss))
+            sgd_step(model.params, stream, lr, train_cfg.momentum, velocity)
             losses.append(loss_val)
         curve.append(CurvePoint(epoch, "train", float(np.mean(losses)), lr))
         if out_dir is not None:

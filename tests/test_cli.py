@@ -1,6 +1,7 @@
 """CLI surface: subcommand behavior, exit codes, file round-trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -1005,3 +1006,22 @@ def test_gradcheck_skips_coordinates_across_a_relu_kink(tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "block0/bottleneck/bias" in out and "skipped across a ReLU kink" in out
+
+
+def test_a_diverging_train_warns_nothing_before_its_one_message(tmp_path, capsys):
+    # the run of the naming test above, with every warning recorded
+    synth = dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], mean_scale=100.0))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", write_json(tmp_path / "synth.json", synth),
+                 "--seed", "5", "--out", str(data)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--manifest", str(data / "manifest.json"),
+                   "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+                   "--train-config", write_json(tmp_path / "train.json",
+                                                dict(TRAIN_CONFIG, lr0=3e38, epochs=1)),
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert rc == 3 and err == (
+        "numerical failure: non-finite value in parameter 'block0/enc0/ws0' after the update\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from stacked_stgcn import training
+from stacked_stgcn import tensor, training
 from stacked_stgcn.graph import Window
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, synth_generate
@@ -87,3 +87,36 @@ def test_traced_training_opens_one_step_span_per_step_and_builds_no_window_seque
     steps = [span for span in tracer.spans if span.name == "training.step"]
     assert {names[span.parent] for span in steps} == {"training.train"}
     assert "graph.slice_sequence" not in names and "graph.pad_sequence" not in names
+
+
+def test_train_calls_sgd_step_once_per_optimizer_step_with_every_parameter(monkeypatch):
+    # the benchmark stamps a step's end when training.sgd_step returns
+    cfg = ModelConfig(cluster_feature_lens=(3,), num_classes=2, d_model=4, levels=1, span=2)
+    data = [synth_generate(SynthConfig(num_classes=2, cluster_feature_lens=(3,),
+                                       t_range=(T, T), temporal_span=2), T)[0]
+            for T in (12, 16, 9)]
+    seen = []
+    original = training.sgd_step
+
+    def counting(params, grads, *args, **kwargs):
+        pairs = list(grads)
+        seen.append([path for path, _ in pairs])
+        return original(params, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "sgd_step", counting)
+    model, _ = training.train(data, cfg, training.TrainConfig(max_window=14, epochs=2))
+    assert len(seen) == 2 * len(data)
+    assert all(sorted(paths) == sorted(model.params) for paths in seen)
+
+
+def test_training_backward_stays_a_module_attribute_the_tracer_patches():
+    # ``--trace 1`` times tensor.backward through this attribute
+    assert training.backward is tensor.backward
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert training.backward is not tensor.backward
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+    finally:
+        tracer.uninstall()
+    assert (training, "backward") in patched and training.backward is tensor.backward

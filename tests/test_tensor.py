@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from conftest import assert_grad_close, check_op_gradients, finite_diff, op_gradient_cases
 from stacked_stgcn import tensor as tn
 from stacked_stgcn.errors import ContractError, DimensionError, NumericalError
-from stacked_stgcn.graph import apply_deformation, build_adjacency
+from stacked_stgcn.graph import Window, apply_deformation, build_adjacency
 from stacked_stgcn.layers import (
     centering_matrix,
     flat_presence,
     normalize_adjacency,
     pooling_matrix,
 )
+from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, sample_drop_schedule, synth_generate
 from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor, load_tensor
 from stacked_stgcn.training import masked_ce_loss
@@ -583,3 +584,86 @@ def test_dump_writes_strided_and_float64_arrays_as_float32():
     assert buf.getvalue()[12:] == arr.astype("<f4").tobytes(order="C")
     buf.seek(0)
     assert np.array_equal(load_tensor(buf), arr)
+
+
+# -- the gradient stream -----------------------------------------------------
+
+
+def small_model_tape(seed=0):
+    """Tape, taped parameters, loss and model of a forward of a small two-cluster model."""
+    cfg = ModelConfig(cluster_feature_lens=(3, 4), num_classes=3, d_model=4, levels=1, span=2)
+    seq, _ = synth_generate(
+        SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), t_range=(10, 10),
+                    temporal_span=2), 7)
+    model = StgcnModel(cfg, seed=seed)
+    window = Window(seq)
+    tape, taped, scores = model.forward_taped(window)
+    return tape, taped, masked_ce_loss(scores, window.labels, window.label_mask), model
+
+
+def test_the_stream_yields_every_watched_parameter_exactly_once():
+    tape, taped, loss, _ = small_model_tape()
+    yielded = [pid for pid, _ in tn.gradients(tape, loss)]
+    assert sorted(yielded) == sorted(t.tid for t in taped.values())
+    assert not tape._records
+
+
+def test_a_shared_parameter_is_yielded_after_every_record_that_reads_it(rng):
+    tape = Tape()
+    x = Tensor(rng.uniform(-1, 1, (5, 3)).astype(np.float32))
+    w = tape.watch(rng.uniform(-1, 1, (3, 3)).astype(np.float32))
+    b = tape.watch(rng.uniform(-1, 1, (3,)).astype(np.float32))
+    h = tn.relu(tn.matmul(x, w))  # the oldest record reads w
+    loss = tn.sum_all(tn.add(tn.matmul(h, w), b))  # and so does a newer one
+    left, grads = {}, {}
+    for pid, g in tn.gradients(tape, loss):
+        left[pid], grads[pid] = len(tape._records), g
+        assert not any(pid in ids for _, ids, _ in tape._records)
+    assert left == {b.tid: 3, w.tid: 0}  # b after the two newest records, w after the oldest
+    # both reads add up: d/dw sum(relu(x w) w + b) = h^T 1 + x^T ((1 w^T) * [x w > 0])
+    ones = np.ones((5, 3), dtype=np.float32)
+    want = h.data.T @ ones + x.data.T @ ((ones @ w.data.T) * (h.data > 0))
+    np.testing.assert_allclose(grads[w.tid], want, rtol=1e-5, atol=1e-6)
+
+
+def test_parameters_no_record_reads_come_last_as_exact_zeros(rng):
+    tape = Tape()
+    unused_a = tape.watch(rng.uniform(-1, 1, (2, 3)).astype(np.float32))
+    used = tape.watch(rng.uniform(-1, 1, (4,)).astype(np.float32))
+    unused_b = tape.watch(rng.uniform(-1, 1, (5,)).astype(np.float32))
+    stream = list(tn.gradients(tape, tn.sum_all(tn.scale(used, 2.0))))
+    assert [pid for pid, _ in stream] == [used.tid, unused_a.tid, unused_b.tid]
+    for pid, g in stream[1:]:
+        assert g.dtype == np.float32 and not g.any()
+    assert stream[1][1].shape == (2, 3) and stream[2][1].shape == (5,)
+
+
+def test_collected_stream_equals_backward_bit_for_bit():
+    tape, taped, loss, _ = small_model_tape(seed=3)
+    streamed = dict(tn.gradients(tape, loss))
+    tape, taped_again, loss, _ = small_model_tape(seed=3)
+    collected = backward(tape, loss)
+    assert [t.tid for t in taped.values()] == [t.tid for t in taped_again.values()]
+    assert streamed.keys() == collected.keys()
+    for pid, g in streamed.items():
+        assert g.dtype == collected[pid].dtype and g.tobytes() == collected[pid].tobytes()
+
+
+def test_a_yielded_parameter_is_no_longer_read_by_the_sweep():
+    # spoil each parameter as soon as it is yielded: no later gradient changes
+    _, _, loss, _ = small_model_tape(seed=5)
+    want = backward(loss.tape, loss)
+    tape, taped, loss, model = small_model_tape(seed=5)
+    paths = {t.tid: path for path, t in taped.items()}
+    for pid, g in tn.gradients(tape, loss):
+        assert g.tobytes() == want[pid].tobytes(), paths[pid]
+        model.params[paths[pid]].fill(np.nan)  # the array the taped tensor views
+
+
+def test_the_stream_checks_its_arguments_before_it_is_read():
+    tape = Tape()
+    x = tape.watch(np.ones((2, 2), dtype=np.float32))
+    with pytest.raises(ContractError, match="scalar"):
+        tn.gradients(tape, tn.relu(x))
+    with pytest.raises(ContractError, match="this tape"):
+        tn.gradients(Tape(), tn.sum_all(x))

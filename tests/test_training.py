@@ -1,17 +1,20 @@
 """Losses, schedule, optimizer, windowing, training loop, checkpoints."""
 
 import math
+import platform
+import resource
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import assert_grad_close, finite_diff
+from stacked_stgcn import tensor as tn
 from stacked_stgcn import training
 from stacked_stgcn.errors import NumericalError, ValidationError
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, generate_dataset, synth_generate
-from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor
+from stacked_stgcn.tensor import Tape, Tensor, backward, dump_tensor, gradients
 from stacked_stgcn.training import (
     TrainConfig,
     leave_one_group_out,
@@ -394,3 +397,65 @@ def test_checkpoint_from_separate_first_layer_path_still_loads(tmp_path):
     again = tmp_path / "again.ckpt"
     save_checkpoint(str(again), model, train_cfg, epoch, rng)
     assert again.read_bytes() == path.read_bytes()
+
+
+# -- the streamed update -----------------------------------------------------
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_a_streamed_sgd_step_equals_the_dict_form_byte_for_byte(momentum):
+    streamed, collected = StgcnModel(TINY_MODEL, seed=1), StgcnModel(TINY_MODEL, seed=1)
+    v_streamed, v_collected = {}, {}
+    for seq in tiny_dataset(2):  # two steps, so the velocity carries over
+        window = train_window_sample(seq, 16, np.random.default_rng(0))
+        tape, taped, scores = collected.forward_taped(window)
+        grads = backward(tape, training.sequence_loss(scores, window, "single"))
+        sgd_step(collected.params, {path: grads[t.tid] for path, t in taped.items()},
+                 0.05, momentum, v_collected)
+        tape, taped, scores = streamed.forward_taped(window)
+        paths = {t.tid: path for path, t in taped.items()}
+        stream = gradients(tape, training.sequence_loss(scores, window, "single"))
+        sgd_step(streamed.params, ((paths[tid], g) for tid, g in stream),
+                 0.05, momentum, v_streamed)
+    for key, p in collected.params.items():
+        assert streamed.params[key].tobytes() == p.tobytes(), key
+    assert v_streamed.keys() == v_collected.keys() and bool(v_streamed) == (momentum > 0)
+    for key, v in v_collected.items():
+        assert v_streamed[key].tobytes() == v.tobytes(), key
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_non_finite_streamed_update_names_the_first_parameter_in_store_order():
+    params = {"first": np.ones((2, 2), dtype=np.float32),
+              "second": np.ones((2, 2), dtype=np.float32)}
+    tape = Tape()
+    taped = {path: tape.watch(p) for path, p in params.items()}
+    x = Tensor(np.full((1, 2), 10.0))
+    loss = tn.sum_all(tn.matmul(tn.matmul(x, taped["first"]), taped["second"]))
+    paths, order = {t.tid: path for path, t in taped.items()}, []
+
+    def stream():
+        for tid, g in gradients(tape, loss):
+            order.append(paths[tid])
+            yield paths[tid], g
+
+    # every gradient is 20, and 3e38 * 20 overflows float32
+    with pytest.raises(NumericalError, match="parameter 'first' after the update"):
+        sgd_step(params, stream(), lr=3e38)
+    assert order == ["second", "first"] and not tape._records  # the sweep finished
+    assert np.isinf(params["second"]).all()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_memory_a_step_frees_is_kept_for_the_next_step():
+    training.keep_freed_heap()
+
+    def step():  # what a cad120 step allocates and frees, about: 16 MB in 1 MB arrays
+        arrays = [np.ones(1 << 18, dtype=np.float32) for _ in range(16)]
+        del arrays
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    # a trimmed heap or mmapped arrays would fault all 4096 pages in again
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
