@@ -9,7 +9,8 @@ symmetric band and mean-pooling has M = 1 (or M = s output timesteps per
 input step of a sequence subsampled by s); a dense matrix is the one-block
 case T = 1, b = 0.
 
-This module owns the layout: allocation, the symmetric edge scatter, stride
+This module owns the layout: allocation (with :func:`allocatable`, the size
+check of every input-sized array), the symmetric edge scatter, stride
 subsampling and symmetric normalization (checked, or unchecked for blocks
 built symmetric). :func:`stacked_stgcn.tensor.banded_matmul`
 applies block arrays to taped tensors.
@@ -17,6 +18,7 @@ applies block arrays to taped tensors.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -48,6 +50,21 @@ def band_slices(num_steps: int, width: int) -> Iterator[Tuple[int, int, int, int
             yield k, delta, lo, hi
 
 
+def allocatable(shape: Tuple[int, ...], dtype) -> Tuple[int, ...]:
+    """``shape``, or MemoryError if numpy cannot even address an array of it.
+
+    numpy raises ValueError for a byte count past the largest index ("array
+    is too big"), but MemoryError for one it can address and not allocate.
+    Allocations whose size comes from input ask here first, so both fail
+    the same way.
+    """
+    shape = tuple(int(n) for n in shape)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if max(nbytes, *shape) > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate {nbytes} bytes for an array of shape {shape}")
+    return shape
+
+
 def zeros(num_steps: int, band: int, num_nodes: int, dtype) -> np.ndarray:
     """Zero square blocks of half-width ``band``, clamped to num_steps - 1.
 
@@ -55,7 +72,7 @@ def zeros(num_steps: int, band: int, num_nodes: int, dtype) -> np.ndarray:
     timestep, so they are not stored.
     """
     b = max(0, min(band, num_steps - 1))
-    return np.zeros((num_steps, 2 * b + 1, num_nodes, num_nodes), dtype=dtype)
+    return np.zeros(allocatable((num_steps, 2 * b + 1, num_nodes, num_nodes), dtype), dtype)
 
 
 def block_diagonal(mats: np.ndarray) -> np.ndarray:

@@ -86,8 +86,8 @@ def _load_manifest(path: str, split: Optional[str]) -> List[Tuple[str, StgSequen
 def cmd_synth(args) -> int:
     run = _read(_SynthRun, args.config, "synth config")
     _refuse_overwrite(args.out, args.force)
-    os.makedirs(args.out, exist_ok=True)
     seqs, oracle = generate_dataset(run.synth, args.seed, run.train_count + run.test_count)
+    os.makedirs(args.out, exist_ok=True)  # only now: a failed draw leaves no directory
     entries = []
     for i, seq in enumerate(seqs):
         name = f"seq_{i:04d}"

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 
 _type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)  # a record's annotations
+# JSON integers past int64 are refused: numpy cannot hold them as sizes, seeds or draws
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _decode(value, tp, where: str, path: str):
@@ -36,6 +38,8 @@ def _decode(value, tp, where: str, path: str):
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, kinds):  # bool is no int
         got = json.dumps(value)[:40]
         raise ConfigurationError(f"{where}: {path}: expected {tp.__name__}, got {got}")
+    if isinstance(value, int) and not INT64_MIN <= value <= INT64_MAX:
+        raise ConfigurationError(f"{where}: {path}: {str(value)[:40]} is outside the int64 range")
     return value
 
 
@@ -44,7 +48,8 @@ class DictCodec:
 
     ``from_dict`` checks each value against its field's annotation, decodes
     nested records, ignores unknown keys and takes defaults for missing ones;
-    ``list`` and ``dict`` fields are only type-checked. Every error, the
+    an integer outside int64 is refused; ``list`` and ``dict`` fields are
+    only type-checked. Every error, the
     record's own ``__post_init__`` checks included, is a ConfigurationError
     naming ``where`` (the file) and the key path. ``to_dict`` converts tuples
     and nested records and returns list fields without copying them.

@@ -73,7 +73,11 @@ def sliding_infer(
     )
 
 
-def select_eval_points(t_available: int, k: int = 25) -> List[int]:
+# the multi-label protocol scores 25 equally spaced timesteps per sequence
+EVAL_POINTS = 25
+
+
+def select_eval_points(t_available: int, k: int = EVAL_POINTS) -> List[int]:
     """k equally spaced timestep indices over [0, T-1]; duplicates when T < k."""
     if t_available < 1:
         raise ValidationError("need at least one available timestep")
@@ -189,9 +193,8 @@ def evaluate_multi(
     model: StgcnModel,
     window: int = 50,
     hop: int = 10,
-    eval_points: int = 25,
 ) -> dict:
-    """mAP over score vectors sampled at equally spaced points per sequence.
+    """mAP over score vectors sampled at :data:`EVAL_POINTS` equally spaced points per sequence.
 
     ``sequences`` in the result holds, per input sequence, the sampled
     ``eval_points``, their ``point_scores`` and the ``full_scores`` timeline.
@@ -200,7 +203,7 @@ def evaluate_multi(
     for seq in sequences:
         timeline = sliding_infer(seq, model, window=window, hop=hop)
         available = np.flatnonzero(seq.label_mask)
-        points = [int(available[i]) for i in select_eval_points(len(available), eval_points)]
+        points = [int(available[i]) for i in select_eval_points(len(available))]
         all_scores.append(timeline.scores[points])
         all_truth.append(seq.labels[points])
         details.append(

@@ -21,25 +21,24 @@ class ParamReport:
     abs_ok_rest: int
     max_abs_err: float
     passed: bool
-    kinked: int  # out-of-tolerance coordinates skipped because +-step flips a ReLU mask
+    kinked: int  # out-of-tolerance coordinates skipped because +-STEP flips a ReLU mask
+
+
+STEP = 1e-3  # central-difference step
+REL_TOL = 1e-2
+ABS_TOL = 1e-3
+MAX_COORDS = 24  # coordinates sampled per parameter
 
 
 def check_model_gradients(
-    model: StgcnModel,
-    seq: StgSequence,
-    mode: str,
-    step: float = 1e-3,
-    rel_tol: float = 1e-2,
-    abs_tol: float = 1e-3,
-    max_coords: int = 24,
-    seed: int = 0,
+    model: StgcnModel, seq: StgSequence, mode: str, seed: int = 0
 ) -> List[ParamReport]:
     """Compare tape gradients with central finite differences per parameter.
 
     A parameter passes when every sampled coordinate meets the relative
     tolerance or the absolute tolerance; the relative one is counted only
-    where the gradient's scale exceeds ``abs_tol``. A coordinate that
-    meets neither and whose ``+-step`` flips a ReLU mask has crossed a
+    where the gradient's scale exceeds ``ABS_TOL``. A coordinate that
+    meets neither and whose ``+-STEP`` flips a ReLU mask has crossed a
     kink, where the central difference is no derivative: it is skipped,
     counted in ``kinked`` and not in ``checked`` or ``max_abs_err``.
     """
@@ -64,7 +63,7 @@ def check_model_gradients(
         flat = p.reshape(-1)
         n = flat.size
         coords = (
-            np.arange(n) if n <= max_coords else rng.choice(n, size=max_coords, replace=False)
+            np.arange(n) if n <= MAX_COORDS else rng.choice(n, size=MAX_COORDS, replace=False)
         )
         rel_ok = 0
         abs_ok_rest = 0
@@ -73,19 +72,19 @@ def check_model_gradients(
         kinked = 0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + DTYPE(step)
+            flat[c] = orig + DTYPE(STEP)
             up, up_kinked = loss_value()
-            flat[c] = orig - DTYPE(step)
+            flat[c] = orig - DTYPE(STEP)
             down, down_kinked = loss_value()
             flat[c] = orig
-            numeric = (up - down) / (2 * step)
+            numeric = (up - down) / (2 * STEP)
             a = float(analytic[name].reshape(-1)[c])
             err = abs(a - numeric)
             scale = max(abs(a), abs(numeric))
             # the relative criterion only makes sense above the absolute floor
-            if scale > abs_tol and err <= rel_tol * scale:
+            if scale > ABS_TOL and err <= REL_TOL * scale:
                 rel_ok += 1
-            elif err <= abs_tol:
+            elif err <= ABS_TOL:
                 abs_ok_rest += 1
             elif up_kinked or down_kinked:
                 kinked += 1  # across a kink the difference is no derivative

@@ -132,7 +132,9 @@ class Window:
         part = rows[self.steps]
         if len(part) == self.length:
             return part
-        return np.pad(part, [(0, self.length - len(part))] + [(0, 0)] * (part.ndim - 1))
+        out = np.zeros(blocks.allocatable((self.length, *part.shape[1:]), part.dtype), part.dtype)
+        out[: len(part)] = part
+        return out
 
     @property
     def labels(self) -> np.ndarray:
@@ -144,12 +146,12 @@ class Window:
 
     @property
     def presence(self) -> np.ndarray:
-        """The window's presence flattened timestep-major (``t * N + n``); a view inside T."""
-        return self.padded(self.seq.presence).reshape(-1)
+        """The window's (length, N) rows of the presence grid; a read-only view inside T."""
+        return self.padded(self.seq.presence)
 
     def sequence(self) -> StgSequence:
         """The window copied into a sequence of its own; edges re-indexed, crossers dropped."""
-        rows = _window_rows(self.seq, self.start, self.start + self.length)
+        rows = _window_rows(self)
         spatial, temporal = (table[np.sort(r)] for table, r in zip(
             (self.seq.spatial_edges, self.seq.temporal_edges), rows))  # in table order
         return replace(
@@ -227,9 +229,10 @@ class _StepIndex:
         return self.order[lo:hi]
 
 
-def _window_rows(seq: StgSequence, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Row numbers of the spatial and temporal edges with both ends in timesteps [start, stop)."""
-    spatial, temporal = (index.rows(start, stop) for index in seq._step_index)
+def _window_rows(window: Window) -> Tuple[np.ndarray, np.ndarray]:
+    """Row numbers of the spatial and temporal edges with both ends in the window's steps."""
+    seq, stop = window.seq, window.start + window.length
+    spatial, temporal = (index.rows(window.start, stop) for index in seq._step_index)
     # t_i < t_j, so a temporal edge that starts inside lies inside when it ends before stop
     return spatial, temporal[seq.temporal_edges[temporal, 3] < stop]
 
@@ -307,32 +310,27 @@ def validate_sequence(seq: StgSequence) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def build_adjacency(
-    seq: StgSequence,
-    span: int,
-    cross_cluster_in_temporal: bool = False,
-    start: int = 0,
-    length: Optional[int] = None,
+    window: Window, span: int, cross_cluster_in_temporal: bool = False
 ) -> AdjacencyPair:
-    """Raw spatial and temporal adjacency of the :class:`Window` ``(seq, start, length)``.
+    """Raw spatial and temporal adjacency of ``window``.
 
-    The window is the whole sequence by default. Edges with both ends inside
-    it are kept, shifted by ``start``, so the blocks equal those of the
-    :func:`slice_sequence` or :func:`pad_sequence` window. A_s carries
-    intra-cluster spatial edges, block-diagonal over time. A_t carries
-    temporal edges with gap delta in [1, span] in a band of half-width
-    min(span, length - 1) (see :class:`AdjacencyPair`); when
+    Edges with both ends inside the window are kept, shifted by its start,
+    so the blocks equal those of its :meth:`Window.sequence` copy. A_s
+    carries intra-cluster spatial edges, block-diagonal over time. A_t
+    carries temporal edges with gap delta in [1, span] in a band of
+    half-width min(span, length - 1) (see :class:`AdjacencyPair`); when
     ``cross_cluster_in_temporal`` is set, spatial edges between tracks of
     different clusters are folded into A_t instead of A_s. Weights are
     symmetrized by max.
     """
     if span < 1:
         raise ValidationError("span must be >= 1")
-    L, N = Window(seq, start, length).length, seq.num_tracks
+    seq, start, L, N = window.seq, window.start, window.length, window.seq.num_tracks
     a_s = blocks.zeros(L, 0, N, DTYPE)
     a_t = blocks.zeros(L, span, N, DTYPE)
     cluster = np.asarray([tr.cluster_id for tr in seq.tracks])
     # pick the window's rows first: only they are copied and converted
-    rows = _window_rows(seq, start, start + L)
+    rows = _window_rows(window)
     picked = _edge_ends(seq.spatial_edges[rows[0]], seq.temporal_edges[rows[1]])
     for ends, index in zip(picked, seq._step_index):
         i, t, j, u = ends[:4].astype(np.intp) - [[0], [start], [0], [start]]  # window steps

@@ -176,7 +176,7 @@ def head_forward(
     ``decoder`` is a block's decoder, taking ``h`` from level L back to
     level 0, as (pool, deconv kernel, skip) per level from L-1
     down to 0; level l's pool is
-    ``pooling_matrix(presence, N, stride ** l)`` and ``pool`` is level L's.
+    ``pooling_matrix(presence, stride ** l)`` and ``pool`` is level L's.
     Its deconvs and skip adds are linear and, with kernel size = stride,
     give each level-0 step t one tap per level, ``(t // stride**l) % stride``,
     so the node mean is taken first and the decoder runs on one pooled row

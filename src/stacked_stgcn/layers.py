@@ -186,41 +186,42 @@ def harmonize_projection(window: Window, kernels: Dict, group_by: str = "node_ty
     return spatial_project(inputs, N * L)
 
 
-def _presence_counts(presence: np.ndarray, num_tracks: int):
+def _presence_counts(presence: np.ndarray):
     """Presence as (T, N) floats, and the count of present nodes per timestep (min 1)."""
-    p = presence.reshape(-1, num_tracks).astype(np.float64)
+    p = presence.astype(np.float64)
     return p, np.maximum(p.sum(axis=1), 1.0)
 
 
-def centering_matrix(presence: np.ndarray, num_tracks: int) -> np.ndarray:
+def centering_matrix(presence: np.ndarray) -> np.ndarray:
     """(T, 1, N, N) blocks that subtract the per-timestep mean over present nodes.
 
-    ``presence`` is the flat (N_t,) mask in timestep-major order. Absent
-    rows map to zero.
+    ``presence`` is the (T, N) grid, as :attr:`~stacked_stgcn.graph.Window.presence`
+    gives it. Absent rows map to zero.
     """
-    p, count = _presence_counts(presence, num_tracks)
-    mat = p[:, :, None] * (np.eye(num_tracks) - p[:, None, :] / count[:, None, None])
+    p, count = _presence_counts(presence)
+    mat = p[:, :, None] * (np.eye(p.shape[1]) - p[:, None, :] / count[:, None, None])
     return blocks.block_diagonal(mat.astype(DTYPE))
 
 
-def subtract_mean(h: Tensor, presence: np.ndarray, num_tracks: int) -> Tensor:
-    """Per timestep and channel, subtract the mean over present nodes."""
-    return tn.banded_matmul(centering_matrix(presence, num_tracks), h)
+def subtract_mean(h: Tensor, presence: np.ndarray) -> Tensor:
+    """Per timestep and channel, subtract the mean over the nodes the (T, N) grid marks present."""
+    return tn.banded_matmul(centering_matrix(presence), h)
 
 
 def flat_presence(seq: StgSequence) -> np.ndarray:
     """Presence mask flattened in timestep-major node-time order."""
-    return Window(seq).presence
+    return seq.presence.reshape(-1)
 
 
-def pooling_matrix(presence: np.ndarray, num_tracks: int, phases: int = 1) -> np.ndarray:
-    """(ceil(T/phases), 1, phases, N) blocks mean-pooling present nodes per timestep.
+def pooling_matrix(presence: np.ndarray, phases: int = 1) -> np.ndarray:
+    """(ceil(T/phases), 1, phases, N) blocks mean-pooling the present nodes of a (T, N) grid.
 
     Row p of block u pools timestep u * phases + p, so the blocks map the
     rows of a sequence subsampled by ``phases`` onto the timesteps each of
     its steps spans. A row is zero when no node is present, and past T.
     """
-    p, count = _presence_counts(presence, num_tracks)
-    pool = np.zeros((-(-len(p) // phases) * phases, num_tracks), dtype=DTYPE)
-    pool[: len(p)] = p / count[:, None]
-    return blocks.block_diagonal(pool.reshape(-1, phases, num_tracks))
+    p, count = _presence_counts(presence)
+    T, N = p.shape
+    pool = np.zeros(blocks.allocatable((-(-T // phases) * phases, N), DTYPE), dtype=DTYPE)
+    pool[:T] = p / count[:, None]
+    return blocks.block_diagonal(pool.reshape(-1, phases, N))

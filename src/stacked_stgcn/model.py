@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as tn
-from .config import DictCodec
+from .blocks import allocatable
+from .config import INT64_MAX, DictCodec
 from .errors import ConfigurationError, ValidationError
 from .graph import StgSequence, Window, build_adjacency
 from .hourglass import (
@@ -46,6 +47,11 @@ from .hourglass import (
 from .layers import StgcnLayerParams, harmonize_projection, pooling_matrix, subtract_mean
 from .layers import flat_presence, spatial_project  # noqa: F401  (perfbench/tracing.py wraps them)
 from .tensor import DTYPE, Tape, Tensor, check_finite
+
+
+# a level-l step spans stride ** l input steps, an int64 count: at stride >= 2
+# that allows at most 62 levels, and the same bound holds at stride 1
+MAX_LEVELS = 62
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,10 @@ class ModelConfig(DictCodec):
             raise ConfigurationError("projection mode needs node_type_clusters")
         if self.levels < 0 or self.stride < 1 or self.stack_depth < 1:
             raise ConfigurationError("bad hourglass geometry")
+        if self.levels > MAX_LEVELS or self.stride**self.levels > INT64_MAX:
+            raise ConfigurationError(
+                f"levels must be <= {MAX_LEVELS}, and stride ** levels must fit in int64"
+            )
         if not self.skip:
             raise ConfigurationError("skip: every decoder level adds its skip; must be true")
         if self.decoder_stgcn:
@@ -91,7 +101,7 @@ class ModelConfig(DictCodec):
 
 def _fan_in_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int):
     bound = 1.0 / math.sqrt(max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(DTYPE)
+    return rng.uniform(-bound, bound, size=allocatable(shape, np.float64)).astype(DTYPE)
 
 
 def parameter_table(cfg: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], Optional[int]]]:
@@ -207,7 +217,7 @@ class StgcnModel:
     def __init__(self, cfg: ModelConfig, seed: int):
         rng = np.random.default_rng(seed)
         self._set(cfg, {
-            path: np.zeros(shape, dtype=DTYPE) if fan_in is None
+            path: np.zeros(allocatable(shape, DTYPE), dtype=DTYPE) if fan_in is None
             else _fan_in_uniform(rng, shape, fan_in)
             for path, (shape, fan_in) in parameter_table(cfg).items()
         })
@@ -253,8 +263,8 @@ class StgcnModel:
     def prepare_levels(self, window: Window):
         """The window's normalized per-level adjacency, for one forward or several."""
         cross = self.cfg.harmonization == "per-cluster-gcn"
-        adj = build_adjacency(window.seq, self.cfg.span, cross, window.start, window.length)
-        return build_level_adjacency(adj, self.cfg.levels, self.cfg.stride)
+        return build_level_adjacency(build_adjacency(window, self.cfg.span, cross),
+                                     self.cfg.levels, self.cfg.stride)
 
     def _check(self, seq: StgSequence) -> None:
         cfg = self.cfg
@@ -280,7 +290,7 @@ class StgcnModel:
         group_by = "node_type" if cfg.harmonization == "projection" else "cluster_id"
         h = harmonize_projection(window, kernels, group_by=group_by)
         if cfg.center_input:
-            h = subtract_mean(h, window.presence, window.seq.num_tracks)
+            h = subtract_mean(h, window.presence)
         w = params.get(PREFIX_WEIGHT)  # folded parameters only
         return h if w is None else tn.matmul(h, w)
 
@@ -302,16 +312,16 @@ class StgcnModel:
         ]
 
     def _body(self, h: Tensor, levels, presence: np.ndarray, params) -> Tensor:
-        """Class scores of one window's prefix rows ``h``, given its levels and presence.
+        """Class scores of one window's prefix rows ``h``, given its levels and presence grid.
 
         No ReLU follows the last block's decoder, so :func:`head_forward`
         runs it on pooled rows.
         """
-        cfg, N = self.cfg, levels[0].num_tracks
+        cfg = self.cfg
         blocks = self._blocks(params)
         h = stack_forward(h, levels, blocks[:-1], cfg.stride)
         h, skips = hourglass_encode(h, levels, blocks[-1], cfg.stride)
-        pools = [pooling_matrix(presence, N, cfg.stride**l) for l in range(cfg.levels + 1)]
+        pools = [pooling_matrix(presence, cfg.stride**l) for l in range(cfg.levels + 1)]
         decoder = [(pools[l], blocks[-1].decoder[l], skips[l]) for l in reversed(range(cfg.levels))]
         scores = head_forward(h, pools[-1], params["head/w"], params["head/b"], decoder, cfg.stride)
         check_finite(scores.data, "scores")  # before any crop or mask drops a row
@@ -352,7 +362,8 @@ class StgcnModel:
         if window < 1:
             raise ValidationError("window must be >= 1")
         params, T = self._inference_params(), seq.num_steps
-        rows = np.zeros((max(T, window) * seq.num_tracks, self.cfg.d_model), dtype=DTYPE)
+        shape = (max(T, window) * seq.num_tracks, self.cfg.d_model)
+        rows = np.zeros(allocatable(shape, DTYPE), dtype=DTYPE)
         for lo in range(0, T, window):
             chunk = Window(seq, lo, min(window, T - lo))
             rows[chunk.flat_rows] = self._prefix(chunk, params).data

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .blocks import allocatable
 from .config import DictCodec
 from .errors import ValidationError
 from .graph import NODE_TYPES, FeatureCluster, NodeTrack, StgSequence
@@ -64,18 +65,19 @@ def make_class_means(cfg: SynthConfig, rng: np.random.Generator) -> List[List[np
         for ci, flen in enumerate(cfg.cluster_feature_lens):
             for _ in range(cfg.tracks_per_cluster):
                 row.append(
-                    (cfg.mean_scale * rng.standard_normal(flen)).astype(DTYPE)
+                    (cfg.mean_scale * rng.standard_normal(allocatable((flen,), np.float64)))
+                    .astype(DTYPE)
                 )
         means.append(row)
     return means
 
 
 def _segment_labels(T: int, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    labels = np.zeros(T, dtype=np.int64)
+    labels = np.zeros(allocatable((T,), np.int64), dtype=np.int64)
     t = 0
     prev = -1
     while t < T:
-        length = int(rng.integers(cfg.segment_len_range[0], cfg.segment_len_range[1] + 1))
+        length = int(rng.integers(*cfg.segment_len_range, endpoint=True))
         cls = int(rng.integers(cfg.num_classes))
         while cls == prev and cfg.num_classes > 1:
             cls = int(rng.integers(cfg.num_classes))
@@ -100,23 +102,21 @@ def synth_generate(
     rng = np.random.default_rng(seed)
     if means is None:
         means = make_class_means(cfg, rng)
-    T = int(rng.integers(cfg.t_range[0], cfg.t_range[1] + 1))
+    T = int(rng.integers(*cfg.t_range, endpoint=True))
     N = cfg.num_tracks
     C = cfg.num_classes
 
     if cfg.mode == "single":
         labels = _segment_labels(T, cfg, rng)
-        active = np.zeros((T, C), dtype=bool)
+        active = np.zeros(allocatable((T, C), bool), dtype=bool)
         active[np.arange(T), labels] = True
     else:
-        active = np.zeros((T, C), dtype=bool)
+        active = np.zeros(allocatable((T, C), bool), dtype=bool)
         for c in range(C):
             t = 0
             on = bool(rng.random() < 0.3)
             while t < T:
-                length = int(
-                    rng.integers(cfg.segment_len_range[0], cfg.segment_len_range[1] + 1)
-                )
+                length = int(rng.integers(*cfg.segment_len_range, endpoint=True))
                 active[t : t + length, c] = on
                 on = not on
                 t += length
@@ -130,10 +130,10 @@ def synth_generate(
     for ci, flen in enumerate(cfg.cluster_feature_lens):
         node_type = NODE_TYPES[ci % len(NODE_TYPES)]
         for k in range(cfg.tracks_per_cluster):
-            base = np.zeros((T, flen), dtype=np.float64)
+            base = np.zeros(allocatable((T, flen), np.float64), dtype=np.float64)
             for c in range(C):
                 base[active[:, c]] += means[c][n]
-            feats = base + cfg.noise * rng.standard_normal((T, flen))
+            feats = base + cfg.noise * rng.standard_normal((T, flen))  # as large as base: checked
             tracks.append(
                 NodeTrack(
                     track_id=f"c{ci}n{k}",

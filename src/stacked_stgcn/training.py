@@ -242,6 +242,9 @@ class CurvePoint:
     metric: float
 
 
+# non-finite values are checked at the loss and the update, which raise NumericalError;
+# numpy's own overflow warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: Sequence[StgSequence],
     model_cfg: ModelConfig,

@@ -1,6 +1,7 @@
 """CLI surface: subcommand behavior, exit codes, file round-trips."""
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -333,6 +334,54 @@ def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert "error: out of memory" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, which, change, message",
+    [
+        ("train", "model", {"num_classes": 10**19}, "num_classes: 10000000000000000000 is outside"),
+        ("train", "model", {"cluster_feature_lens": [4, 10**19]}, "cluster_feature_lens[1]"),
+        ("train", "train", {"max_window": 10**19}, "max_window: 10000000000000000000 is outside"),
+        ("synth", "synth", {"t_range": [12, 10**19]}, "synth.t_range[1]"),
+        ("train", "model", {"levels": 10**9}, "levels must be <= 62"),
+        ("eval", "window", 10**18, "error: out of memory"),
+        ("infer", "window", 10**18, "error: out of memory"),
+        ("train", "train", {"max_window": 10**18}, "error: out of memory"),
+        ("synth", "synth", {"t_range": [12, 10**14]}, "error: out of memory"),
+    ],
+    ids=["num-classes-past-int64", "feature-len-past-int64", "max-window-past-int64",
+         "t-range-past-int64", "levels-1e9", "eval-window-1e18", "infer-window-1e18",
+         "max-window-1e18", "t-range-1e14"],
+)
+def test_an_impossible_size_exits_2_at_once_and_leaves_no_output(
+    dataset, tmp_path, capsys, command, which, change, message
+):
+    # integers past int64 are refused as read; sizes numpy cannot address
+    # (ValueError there) fail like allocations it cannot make (MemoryError)
+    out = tmp_path / "out"
+    if command == "synth":
+        doc = dict(SYNTH_CONFIG, synth=dict(SYNTH_CONFIG["synth"], **change))
+        argv = ["--config", write_json(tmp_path / "huge.json", doc), "--seed", "5"]
+    elif command == "train":
+        model_change, train_change = (change, {}) if which == "model" else ({}, change)
+        argv = ["--manifest", str(dataset / "manifest.json"),
+                "--model-config", write_json(tmp_path / "model.json",
+                                             dict(MODEL_CONFIG, **model_change)),
+                "--train-config", write_json(tmp_path / "train.json",
+                                             dict(TRAIN_CONFIG, **train_change)),
+                "--seed", "0"]
+    else:
+        argv = ["--manifest", str(dataset / "manifest.json"),
+                "--checkpoint", untrained_checkpoint(tmp_path), "--window", str(change)]
+    start = time.perf_counter()
+    rc = main([command, *argv, "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+    assert elapsed < 5  # the levels case hung before its parameter table was refused
 
 
 def sequence_dir(dataset, command):

@@ -83,7 +83,7 @@ def chain_sequence(T=3, span=3, num_tracks=1, feature_len=2, weight=1.0):
 
 def dense_adjacency(seq, span, cross_cluster_in_temporal=False):
     """build_adjacency's block output expanded to dense (A_s, A_t)."""
-    adj = build_adjacency(seq, span, cross_cluster_in_temporal=cross_cluster_in_temporal)
+    adj = build_adjacency(Window(seq), span, cross_cluster_in_temporal=cross_cluster_in_temporal)
     return blocks_to_dense(adj.a_s), blocks_to_dense(adj.a_t)
 
 
@@ -108,7 +108,7 @@ def test_span_filters_long_edges():
 
 def test_empty_edges_give_zero_adjacency():
     seq = chain_sequence(T=3, span=0)
-    adj = build_adjacency(seq, span=3)
+    adj = build_adjacency(Window(seq), span=3)
     assert not adj.a_s.any() and not adj.a_t.any()
 
 
@@ -206,7 +206,8 @@ def test_later_writes_to_the_callers_edge_array_do_not_reach_the_sequence():
     mine[0, 4] = -5  # a negative weight
     mine[1, 3] = 99  # an end past T
     assert np.array_equal(built.temporal_edges, before)
-    assert np.array_equal(build_adjacency(built, 2).a_t, build_adjacency(seq, 2).a_t)
+    assert np.array_equal(build_adjacency(Window(built), 2).a_t,
+                          build_adjacency(Window(seq), 2).a_t)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -295,12 +296,31 @@ def test_track_presence_is_a_read_only_column_of_one_grid():
 
 def test_window_presence_is_a_view_of_the_grid_inside_t():
     seq = apply_deformation(chain_sequence(T=6, span=1, num_tracks=2), [(0, 3)])
-    inside = Window(seq, 2, 3).presence
+    inside = Window(seq, 2, 3).presence.reshape(-1)
     assert np.shares_memory(inside, seq.presence)
     assert inside.tolist() == [True, True, False, True, True, True]
-    padded = Window(seq, 0, 9).presence
+    padded = Window(seq, 0, 9).presence.reshape(-1)
     assert padded.shape == (18,) and not padded[12:].any()
     assert np.array_equal(padded[:12], seq.presence.reshape(-1))
+
+
+def test_window_presence_is_the_grids_rows_read_only_inside_t_and_zero_past_it():
+    seq = apply_deformation(chain_sequence(T=6, span=1, num_tracks=2), [(0, 3)])
+    inside = Window(seq, 2, 3).presence
+    assert inside.shape == (3, 2) and not inside.flags.writeable
+    assert np.array_equal(inside, seq.presence[2:5])
+    padded = Window(seq, 0, 9).presence
+    assert padded.shape == (9, 2) and padded.dtype == bool
+    assert np.array_equal(padded[:6], seq.presence) and not padded[6:].any()
+
+
+def test_a_window_numpy_cannot_address_raises_memory_error():
+    seq = chain_sequence(T=3, span=1)
+    window = Window(seq, 0, 10**19)  # numpy would raise ValueError for these sizes
+    with pytest.raises(MemoryError):
+        window.padded(seq.tracks[0].features)
+    with pytest.raises(MemoryError):
+        build_adjacency(window, 1)
 
 
 # -- deformation -------------------------------------------------------------
@@ -327,7 +347,7 @@ def test_drop_middle_step_keeps_bridging_edge():
     # edge across the dropped step survives, edges into it are gone
     assert a_t[0, 2] == 1.0
     assert a_t[0, 1] == 0.0 and a_t[1, 2] == 0.0
-    short = build_adjacency(deformed, span=1)
+    short = build_adjacency(Window(deformed), span=1)
     assert not short.a_t.any()
 
 
@@ -469,8 +489,8 @@ def test_sliced_window_blocks_equal_blocks_of_the_sliced_sequence(
     # the one window of a shorter sequence is padded, not sliced
     start = 0 if length > T else int(offset * (T - length))
     window = window_copy(seq, start, length)
-    got = build_adjacency(seq, span, cross, start, length)
-    want = build_adjacency(window, span, cross)
+    got = build_adjacency(Window(seq, start, length), span, cross)
+    want = build_adjacency(Window(window), span, cross)
     assert (got.num_steps, got.num_tracks) == (want.num_steps, want.num_tracks)
     for a, b in ((got.a_s, want.a_s), (got.a_t, want.a_t)):
         assert a.shape == b.shape and a.dtype == b.dtype
@@ -514,7 +534,7 @@ def test_window_copies_equal_the_per_track_reference(seed, mode, place, length, 
         assert rows.dtype == ref.features.dtype and np.array_equal(rows, ref.features)
         # a view inside T, so the prefix copies each feature row once
         assert np.shares_memory(rows, tr.features) == (place != "past_T")
-    assert np.array_equal(window.presence, reference_flat_presence(want))
+    assert np.array_equal(window.presence.reshape(-1), reference_flat_presence(want))
     assert np.array_equal(window.labels, want.labels)
     assert np.array_equal(window.label_mask, want.label_mask)
 
@@ -555,7 +575,7 @@ def test_window_blocks_cut_by_the_step_index_equal_the_dense_oracle(
     else:
         length = min(length, T)
         start = {"from_start": 0, "inside": int(offset * (T - length)), "to_end": T - length}[place]
-    got = build_adjacency(seq, span, cross, start, length)
+    got = build_adjacency(Window(seq, start, length), span, cross)
     want_s, want_t = dense_build_adjacency(window_copy(seq, start, length), span, cross)
     assert np.array_equal(blocks_to_dense(got.a_s), want_s)
     assert np.array_equal(blocks_to_dense(got.a_t), want_t)
@@ -569,10 +589,10 @@ def test_sliced_window_blocks_drop_edges_across_the_border():
             seq.temporal_edges[:, 3] >= start + length
         )
         assert crossing.any() or start + length == 12
-        got = build_adjacency(seq, 2, start=start, length=length)
+        got = build_adjacency(Window(seq, start, length), 2)
         assert got.a_t.shape[1] == 2 * min(2, length - 1) + 1  # the band narrows
-        assert np.array_equal(got.a_t, build_adjacency(window, 2).a_t)
-        assert np.array_equal(got.a_s, build_adjacency(window, 2).a_s)
+        assert np.array_equal(got.a_t, build_adjacency(Window(window), 2).a_t)
+        assert np.array_equal(got.a_s, build_adjacency(Window(window), 2).a_s)
 
 
 @pytest.mark.parametrize("start, length", [(-1, 3), (10, 3), (1, 13), (0, 0)])
@@ -581,7 +601,7 @@ def test_sliced_window_out_of_range_rejected(start, length):
     with pytest.raises(ValidationError, match="window out of range"):
         Window(seq, start, length)
     with pytest.raises(ValidationError, match="window out of range"):
-        build_adjacency(seq, 2, start=start, length=length)
+        build_adjacency(Window(seq, start, length), 2)
 
 
 def test_pad_masks_added_steps():

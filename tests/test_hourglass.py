@@ -140,7 +140,7 @@ def deformed_sequence(seed, span, T=23):
 @pytest.mark.parametrize("cross", [False, True])
 def test_levels_equal_chained_subsample_then_normalize(levels, stride, cross):
     for seed in range(3):
-        adj = build_adjacency(deformed_sequence(seed, span=5), 5, cross)
+        adj = build_adjacency(Window(deformed_sequence(seed, span=5)), 5, cross)
         got = build_level_adjacency(adj, levels, stride)
         want = chained_level_adjacency(adj, levels, stride)
         assert len(got) == len(want) == levels + 1
@@ -208,10 +208,10 @@ def test_level_blocks_match_dense_construction(harmonization, span, stride):
             a_s, a_t = dense_subsample(a_s, N, stride), dense_subsample(a_t, N, stride)
         presence = flat_presence(seq)
         assert np.abs(
-            blocks_to_dense(centering_matrix(presence, N)) - dense_centering(presence, N)
+            blocks_to_dense(centering_matrix(seq.presence)) - dense_centering(presence, N)
         ).max() <= 1e-6
         assert np.abs(
-            blocks_to_dense(pooling_matrix(presence, N)) - dense_pooling(presence, N)
+            blocks_to_dense(pooling_matrix(seq.presence)) - dense_pooling(presence, N)
         ).max() <= 1e-6
 
 
@@ -299,7 +299,7 @@ def test_model_preserves_temporal_extent(T):
 def test_head_identity_pooling(rng):
     T, d, C = 3, 4, 2
     presence = np.ones(T, dtype=bool)  # one node per timestep
-    pool = pooling_matrix(presence, 1)
+    pool = pooling_matrix(presence.reshape(-1, 1))
     assert np.array_equal(blocks_to_dense(pool), np.eye(T, dtype=np.float32))
     h = Tensor(rng.uniform(-1, 1, (T, d)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (d, C)).astype(np.float32))
@@ -310,7 +310,7 @@ def test_head_identity_pooling(rng):
 
 def test_head_all_absent_timestep_scores_bias(rng):
     presence = np.array([True, True, False, False], dtype=bool)  # T=2, N=2
-    pool = pooling_matrix(presence, 2)
+    pool = pooling_matrix(presence.reshape(-1, 2))
     h = Tensor(rng.uniform(-1, 1, (4, 3)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (3, 2)).astype(np.float32))
     b = Tensor(np.array([0.3, -0.7], dtype=np.float32))
@@ -325,7 +325,7 @@ def full_decoder_body(model, h, levels, presence, params):
     """The window body with the last decoder at node resolution, then the plain head."""
     cfg = model.cfg
     h = stack_forward(h, levels, model._blocks(params), cfg.stride)
-    pool = pooling_matrix(presence, levels[0].num_tracks)
+    pool = pooling_matrix(presence)
     return head_forward(h, pool, params["head/w"], params["head/b"])
 
 
@@ -386,17 +386,17 @@ def test_pooled_head_rejects_a_kernel_whose_taps_differ_from_the_stride(rng):
     w = Tensor(rng.uniform(-1, 1, (3, 2)).astype(np.float32))
     kernel = Tensor(rng.uniform(-1, 1, (3, 3, 3)).astype(np.float32))
     skip = Tensor(rng.uniform(-1, 1, (8, 3)).astype(np.float32))  # level 0: 4 steps x 2 nodes
-    decoder = [(pooling_matrix(presence, 2), kernel, skip)]
+    decoder = [(pooling_matrix(presence.reshape(-1, 2)), kernel, skip)]
     with pytest.raises(DimensionError, match="3 taps, stride is 2"):
-        head_forward(h, pooling_matrix(presence, 2, 2), w, None, decoder, stride=2)
+        head_forward(h, pooling_matrix(presence.reshape(-1, 2), 2), w, None, decoder, stride=2)
 
 
 @pytest.mark.parametrize("phases", [1, 2, 3, 4])
 def test_pooling_phases_reshape_the_per_timestep_rows(phases):
     T, N = 7, 3
     presence = np.random.default_rng(phases).random(T * N) < 0.6
-    pool = pooling_matrix(presence, N, phases)
+    pool = pooling_matrix(presence.reshape(-1, N), phases)
     assert pool.shape == (-(-T // phases), 1, phases, N)
     rows = pool.reshape(-1, N)
-    assert np.array_equal(rows[:T], pooling_matrix(presence, N)[:, 0, 0])
+    assert np.array_equal(rows[:T], pooling_matrix(presence.reshape(-1, N))[:, 0, 0])
     assert not rows[T:].any()

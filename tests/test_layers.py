@@ -303,27 +303,27 @@ def test_cluster_row_index_layout():
 def test_subtract_mean_hand_value():
     presence = np.ones(2, dtype=bool)  # one timestep, two nodes
     h = Tensor(np.array([[1.0], [3.0]], dtype=np.float32))
-    out = subtract_mean(h, presence, 2)
+    out = subtract_mean(h, presence.reshape(-1, 2))
     assert np.allclose(out.data, [[-1.0], [1.0]], atol=1e-6)
 
 
 def test_subtract_mean_constant_and_singleton():
     presence = np.array([True, True, True, False], dtype=bool)  # T=2, N=2
     h = Tensor(np.array([[2.0], [2.0], [5.0], [0.0]], dtype=np.float32))
-    out = subtract_mean(h, presence, 2)
+    out = subtract_mean(h, presence.reshape(-1, 2))
     # t=0: constant rows go to zero; t=1: single present node goes to zero
     assert np.allclose(out.data, np.zeros((4, 1)), atol=1e-6)
 
 
 def test_centering_absent_rows_zero():
     presence = np.array([True, False], dtype=bool)
-    mat = blocks_to_dense(centering_matrix(presence, 2))
+    mat = blocks_to_dense(centering_matrix(presence.reshape(-1, 2)))
     assert not mat[1].any() and not mat[:, 1].any()
 
 
 def test_pooling_matrix():
     presence = np.array([True, True, False, False], dtype=bool)  # T=2, N=2
-    pool = blocks_to_dense(pooling_matrix(presence, 2))
+    pool = blocks_to_dense(pooling_matrix(presence.reshape(-1, 2)))
     assert pool.shape == (2, 4)
     assert np.allclose(pool[0], [0.5, 0.5, 0.0, 0.0])
     assert not pool[1].any()  # no present node at t=1

@@ -401,3 +401,16 @@ def test_from_params_checks_the_parameter_table():
         StgcnModel.from_params(cfg, dict(params, **{"block0/enc0/wt": np.zeros((4, 5), DTYPE)}))
     with pytest.raises(ValidationError, match="head/b"):
         StgcnModel.from_params(cfg, {k: v for k, v in params.items() if k != "head/b"})
+
+
+@pytest.mark.parametrize("levels, stride, ok", [
+    (62, 2, True), (63, 1, False), (62, 3, False), (1, 2**62, True), (2, 2**32, False),
+])
+def test_levels_are_bounded_before_the_parameter_table(levels, stride, ok):
+    # a level-l step spans stride ** l input steps, an int64 count
+    cfg = dict(cluster_feature_lens=(3,), num_classes=2, d_model=4, levels=levels, stride=stride)
+    if ok:
+        assert ModelConfig(**cfg).levels == levels
+    else:
+        with pytest.raises(ConfigurationError, match="levels must be <= 62"):
+            ModelConfig(**cfg)

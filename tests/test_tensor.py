@@ -154,13 +154,13 @@ def band_kinds():
     cfg = SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), t_range=(9, 9), temporal_span=3)
     seq, _ = synth_generate(cfg, 3)
     seq = apply_deformation(seq, sample_drop_schedule(seq, 0.2, np.random.default_rng(0)))
-    adj = build_adjacency(seq, 3, cross_cluster_in_temporal=True)
+    adj = build_adjacency(Window(seq), 3, cross_cluster_in_temporal=True)
     presence, N = flat_presence(seq), seq.num_tracks
     rng = np.random.default_rng(8)
     return {
         "symmetric": normalize_adjacency(adj.a_t),
-        "centering": centering_matrix(presence, N),
-        "pooling": pooling_matrix(presence, N),
+        "centering": centering_matrix(presence.reshape(-1, N)),
+        "pooling": pooling_matrix(presence.reshape(-1, N)),
         "band-not-symmetric": rng.uniform(-1, 1, (9, 5, 3, N)).astype(np.float32),
     }
 
