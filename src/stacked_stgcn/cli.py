@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import DictCodec, atomic_write, read_json
+from .config import INT64_MAX, DictCodec, atomic_write, read_json
 from .errors import ContractError, DimensionError, NumericalError, ValidationError
 from .evaluate import evaluate_multi, evaluate_single, sliding_infer
 from .graph import StgSequence, load_stgs, save_stgs
@@ -265,8 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        if not 0 <= getattr(args, "seed", 0) <= INT64_MAX:  # the int64 seeds a header holds
+            raise ValidationError(f"--seed must be in [0, 2^63-1], got {args.seed}")
         # non-finite values are checked where they matter and exit 3 with one
         # message; numpy's own overflow warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):

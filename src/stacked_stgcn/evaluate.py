@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .graph import StgSequence, Window
+from .graph import StgSequence
 from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
 from .model import StgcnModel
 from .tensor import DTYPE
@@ -44,9 +44,7 @@ def sliding_infer(
 ) -> ScoreTimeline:
     """Windowed forward passes fused into one per-timestep score timeline.
 
-    A model with ``score_windows`` scores all windows in one call; any
-    other model is called once per window with ``forward_scores`` on the
-    window's :meth:`~stacked_stgcn.graph.Window.sequence` copy (the one
+    The model scores all windows in one ``score_windows`` call (the one
     window of a shorter sequence is zero-padded to ``window`` steps). A hop
     longer than the window would leave steps unscored, so it is refused.
     """
@@ -59,11 +57,7 @@ def sliding_infer(
     total = np.zeros((T, C), dtype=np.float64)
     coverage = np.zeros(T, dtype=np.int64)
     starts = window_starts(T, window, hop)
-    if hasattr(model, "score_windows"):
-        windows = model.score_windows(seq, starts, window)
-    else:
-        windows = (model.forward_scores(Window(seq, start, window).sequence()) for start in starts)
-    for start, scores in zip(starts, windows):
+    for start, scores in zip(starts, model.score_windows(seq, starts, window)):
         stop = min(start + window, T)  # a padded window keeps its first T rows
         total[start:stop] += scores[: stop - start]
         coverage[start:stop] += 1

@@ -54,13 +54,11 @@ class StgcnLayerParams:
     (d_model x d_out); ``None`` means the rows are already in the output
     basis, as when inference applies the first layer's weight to the
     prefix rows or folds a layer's weight into the conv before it.
-    ``bias`` is optional and off by default.
     """
 
     w_s: Dict[int, Tensor]
     w_t: Optional[Tensor]
     cluster_rows: Dict[int, np.ndarray] = field(default_factory=dict)
-    bias: Optional[Tensor] = None
 
 
 def _track_rows(tracks: np.ndarray, num_tracks: int, num_steps: int) -> np.ndarray:
@@ -123,16 +121,18 @@ def _project_uniform(h: Tensor, params: StgcnLayerParams) -> Tensor:
     return spatial_project(inputs, total)
 
 
-def _temporal_weight(h: Tensor, params: StgcnLayerParams) -> Tensor:
-    return h if params.w_t is None else tn.matmul(h, params.w_t)
-
-
 def _constant(a) -> np.ndarray:
     if isinstance(a, Tensor):
         if a.tape is not None:
             raise ContractError("adjacency must be a constant, not a taped tensor")
         return a.data
     return a
+
+
+def _weighted_spatial(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
+    """A_s·(H·W_s)·W_t, the body both layer forms share."""
+    h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
+    return h_s if params.w_t is None else tn.matmul(h_s, params.w_t)
 
 
 def stgcn_layer(h: Tensor, ns, nt, params: StgcnLayerParams) -> Tensor:
@@ -142,20 +142,12 @@ def stgcn_layer(h: Tensor, ns, nt, params: StgcnLayerParams) -> Tensor:
     block arrays or as dense N_t x N_t matrices (arrays or untaped tensors).
     Activation is ReLU after the temporal step only.
     """
-    h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
-    out = tn.banded_matmul(_constant(nt), _temporal_weight(h_s, params))
-    if params.bias is not None:
-        out = tn.add(out, params.bias)
-    return tn.relu(out)
+    return tn.relu(tn.banded_matmul(_constant(nt), _weighted_spatial(h, ns, params)))
 
 
 def stgcn_layer_grid(h: Tensor, ns, params: StgcnLayerParams) -> Tensor:
     """Degenerate form with fixed grid temporal connections: no temporal mixing."""
-    h_s = tn.banded_matmul(_constant(ns), _project_uniform(h, params))
-    out = _temporal_weight(h_s, params)
-    if params.bias is not None:
-        out = tn.add(out, params.bias)
-    return tn.relu(out)
+    return tn.relu(_weighted_spatial(h, ns, params))
 
 
 def harmonize_projection(window: Window, kernels: Dict, group_by: str = "node_type") -> Tensor:

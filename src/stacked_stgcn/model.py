@@ -66,7 +66,8 @@ class ModelConfig(DictCodec):
     levels: int = 1
     stride: int = 2
     stack_depth: int = 1
-    # kept because every checkpoint header holds them; any other value is refused
+    # skip, decoder_stgcn and gcn_bias are kept because every checkpoint header
+    # holds them; any other value is refused
     skip: bool = True
     decoder_stgcn: bool = False
     center_input: bool = True
@@ -97,6 +98,8 @@ class ModelConfig(DictCodec):
             raise ConfigurationError("skip: every decoder level adds its skip; must be true")
         if self.decoder_stgcn:
             raise ConfigurationError("decoder_stgcn: decoders have no STGCN layers; must be false")
+        if self.gcn_bias:
+            raise ConfigurationError("gcn_bias: STGCN layers have no bias; must be false")
 
 
 def _fan_in_uniform(rng: np.random.Generator, shape: Tuple[int, ...], fan_in: int):
@@ -122,8 +125,6 @@ def parameter_table(cfg: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], Option
         else:
             table[f"{prefix}/ws"] = ((d, d), d)
         table[f"{prefix}/wt"] = ((d, d), d)
-        if cfg.gcn_bias:
-            table[f"{prefix}/bias"] = ((d,), None)
 
     if cfg.harmonization == "projection":
         for node_type, cluster in cfg.node_type_clusters:
@@ -160,7 +161,7 @@ PREFIX_WEIGHT = "prefix/w"
 def fold_parameters(cfg: ModelConfig, params: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """The parameters inference runs on: each chain of linear maps as one.
 
-    A layer computes ``relu(A_t (A_s H W_s) W_t + b)``. Nothing nonlinear
+    A layer computes ``relu(A_t (A_s H W_s) W_t)``. Nothing nonlinear
     sits between its two weights, and the graph mixes rows while the weights
     mix columns, so every layer keeps one weight W = W_s W_t (its ``wt``)
     and no ``ws``. Two kinds of layer keep none. The first layer's rows
@@ -257,7 +258,6 @@ class StgcnModel:
         return StgcnLayerParams(
             w_s={} if w_s is None else {0: w_s},
             w_t=params.get(f"{prefix}/wt"),
-            bias=params.get(f"{prefix}/bias"),
         )
 
     def prepare_levels(self, window: Window):

@@ -36,29 +36,27 @@ class SynthConfig(DictCodec):
     temporal_weight: float = 1.0
     mode: str = "single"
 
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ValidationError("need at least 2 classes")
+        if min(self.cluster_feature_lens, default=0) < 1:
+            raise ValidationError("need at least 1 feature cluster, each of length >= 1")
+        if self.tracks_per_cluster < 1:
+            raise ValidationError("need at least 1 track per cluster")
+        if self.t_range[0] < 1 or self.t_range[1] < self.t_range[0]:
+            raise ValidationError("bad t_range")
+        if self.segment_len_range[0] < 1 or self.segment_len_range[1] < self.segment_len_range[0]:
+            raise ValidationError("bad segment_len_range")
+        if self.noise < 0 or self.spatial_eps < 0 or self.temporal_span < 1:
+            raise ValidationError("degenerate synthesis parameters")
+
     @property
     def num_tracks(self) -> int:
         return len(self.cluster_feature_lens) * self.tracks_per_cluster
 
 
-def _validate_config(cfg: SynthConfig) -> None:
-    if cfg.num_classes < 2:
-        raise ValidationError("need at least 2 classes")
-    if min(cfg.cluster_feature_lens, default=0) < 1:
-        raise ValidationError("need at least 1 feature cluster, each of length >= 1")
-    if cfg.tracks_per_cluster < 1:
-        raise ValidationError("need at least 1 track per cluster")
-    if cfg.t_range[0] < 1 or cfg.t_range[1] < cfg.t_range[0]:
-        raise ValidationError("bad t_range")
-    if cfg.segment_len_range[0] < 1 or cfg.segment_len_range[1] < cfg.segment_len_range[0]:
-        raise ValidationError("bad segment_len_range")
-    if cfg.noise < 0 or cfg.spatial_eps < 0 or cfg.temporal_span < 1:
-        raise ValidationError("degenerate synthesis parameters")
-
-
 def make_class_means(cfg: SynthConfig, rng: np.random.Generator) -> List[List[np.ndarray]]:
     """Per-class, per-track mean vectors; shared across a dataset."""
-    _validate_config(cfg)
     means = []
     for _ in range(cfg.num_classes):
         row = []
@@ -98,7 +96,6 @@ def synth_generate(
     checks): the config as a dict and the class means as arrays. When
     ``means`` is None, fresh means are drawn from the same rng.
     """
-    _validate_config(cfg)
     rng = np.random.default_rng(seed)
     if means is None:
         means = make_class_means(cfg, rng)

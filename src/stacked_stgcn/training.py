@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .config import DictCodec, atomic_write
+from .config import INT64_MAX, DictCodec, atomic_write
 from .errors import ContractError, NumericalError, ValidationError
 from .graph import StgSequence, Window
 from .graph import pad_sequence, slice_sequence  # noqa: F401  (perfbench/tracing.py wraps them)
@@ -49,8 +49,10 @@ class TrainConfig(DictCodec):
             raise ValidationError("momentum must be in [0, 1)")
         if not 0 < self.sched_drop <= 1:
             raise ValidationError("sched_drop must be in (0, 1]")
-        if min(self.sched_step, self.max_window, self.epochs) < 1 or self.seed < 0:
+        if min(self.sched_step, self.max_window, self.epochs) < 1:
             raise ValidationError("bad training configuration")
+        if not 0 <= self.seed <= INT64_MAX:  # a checkpoint header holds it as a JSON int64
+            raise ValidationError(f"seed must be in [0, 2^63-1], got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from stacked_stgcn import cli, evaluate
 from stacked_stgcn.cli import main
+from stacked_stgcn.errors import ValidationError
 from stacked_stgcn.graph import load_stgs
 from stacked_stgcn.model import ModelConfig, StgcnModel
 from stacked_stgcn.synth import SynthConfig, generate_dataset
@@ -668,6 +669,11 @@ def test_eval_rejects_a_checkpoint_without_skip_connections(tmp_path, capsys):
     assert rc == 2 and "skip" in err and "Traceback" not in err
 
 
+def test_eval_rejects_a_checkpoint_whose_layers_have_a_bias(tmp_path, capsys):
+    rc, err = eval_with_retired_knob_flipped(tmp_path, capsys, "gcn_bias", False)
+    assert rc == 2 and "gcn_bias" in err and "Traceback" not in err
+
+
 def test_eval_on_non_finite_checkpoint_exits_3(tmp_path, capsys):
     manifest, ckpt, model = multi_label_data(tmp_path)
     model.params["head/w"] = np.full_like(model.params["head/w"], np.inf)
@@ -947,11 +953,12 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
         ("train", {"lr0": 1e39}, "lr0"),  # finite as a float64, inf as the float32 update
         ("train", {"momentum": -0.5}, "momentum"),
         ("train", {"momentum": 1.0}, "momentum"),
+        ("model", {"gcn_bias": True}, "gcn_bias"),
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
          "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
          "decoder-stgcn", "skip-false", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
-         "lr0-overflows-float32", "momentum-negative", "momentum-one"],
+         "lr0-overflows-float32", "momentum-negative", "momentum-one", "gcn-bias"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
     model_change, train_change = (change, {}) if which == "model" else ({}, change)
@@ -1037,6 +1044,25 @@ def test_negative_seed_exits_2(dataset, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_a_seed_past_int64_exits_2_and_the_largest_one_round_trips(dataset, tmp_path, capsys):
+    # a checkpoint header holds the seed as a JSON int64, so 2^63 could not be read back
+    argv = ["train", "--manifest", str(dataset / "manifest.json"),
+            "--model-config", write_json(tmp_path / "model.json", MODEL_CONFIG),
+            "--train-config", write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, epochs=1))]
+    run = tmp_path / "run"
+    assert main([*argv, "--seed", str(2**63), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be in [0, 2^63-1]" in err and "Traceback" not in err
+    assert not run.exists()
+    with pytest.raises(ValidationError, match="seed"):
+        TrainConfig(seed=2**63)
+    assert main([*argv, "--seed", str(2**63 - 1), "--out", str(run)]) == 0
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--manifest", str(dataset / "manifest.json"),
+                 "--checkpoint", str(run / "epoch_0000.ckpt"), "--out", str(out)]) == 0
+    assert load_checkpoint(str(run / "epoch_0000.ckpt"))[1].seed == 2**63 - 1
+
+
 # -- gradcheck ---------------------------------------------------------------
 
 
@@ -1047,14 +1073,13 @@ def test_gradcheck_default_model_passes(capsys):
 
 
 def test_gradcheck_skips_coordinates_across_a_relu_kink(tmp_path, capsys):
-    # at zero biases one bottleneck pre-activation sits 2.4e-5 from the ReLU
-    # kink, and the 1e-3 step on a bias coordinate crosses it
-    doc = dict(cluster_feature_lens=[3, 4], num_classes=3, d_model=4, levels=1, span=2,
-               gcn_bias=True)
-    argv = ["gradcheck", "--seed", "0", "--model-config", write_json(tmp_path / "m.json", doc)]
+    # at seed 4 the finite-difference step on two block0/enc0/wt coordinates
+    # moves a pre-activation across the ReLU kink
+    doc = dict(cluster_feature_lens=[3, 4], num_classes=3, d_model=4, levels=1, span=2)
+    argv = ["gradcheck", "--seed", "4", "--model-config", write_json(tmp_path / "m.json", doc)]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "block0/bottleneck/bias" in out and "skipped across a ReLU kink" in out
+    assert "block0/enc0/wt: " in out and "2 skipped across a ReLU kink" in out
 
 
 def test_a_diverging_train_warns_nothing_before_its_one_message(tmp_path, capsys):

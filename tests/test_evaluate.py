@@ -20,10 +20,21 @@ from stacked_stgcn.evaluate import (
     sliding_infer,
     window_starts,
 )
+from stacked_stgcn.graph import Window
 from stacked_stgcn.synth import SynthConfig, synth_generate
 
 
-class EchoModel:
+class WindowByWindow:
+    """Stub base: ``score_windows`` calls ``forward_scores`` on each window's copy.
+
+    The one window of a sequence shorter than ``window`` is zero-padded.
+    """
+
+    def score_windows(self, seq, starts, window):
+        return [self.forward_scores(Window(seq, start, window).sequence()) for start in starts]
+
+
+class EchoModel(WindowByWindow):
     """Stub returning the one-hot ground truth of whatever window it is given."""
 
     def forward_scores(self, seq):
@@ -32,7 +43,7 @@ class EchoModel:
         return out
 
 
-class ConstModel:
+class ConstModel(WindowByWindow):
     def __init__(self, value, num_classes):
         self.value = value
         self.num_classes = num_classes
@@ -258,7 +269,7 @@ def test_label_segments_and_majority_vote():
     assert preds == [0, 1] and truths == [0, 1]
 
 
-class FixedModel:
+class FixedModel(WindowByWindow):
     """Stub scoring every step of a window by the one-hot of ``pred`` at that step."""
 
     def __init__(self, pred, num_classes):
@@ -296,7 +307,7 @@ def test_evaluate_multi_echo_model_is_perfect():
     )
     seqs = [synth_generate(cfg, s)[0] for s in (0, 1)]
 
-    class MultiEcho:
+    class MultiEcho(WindowByWindow):
         def forward_scores(self, seq):
             return seq.labels.astype(np.float32)
 

@@ -335,7 +335,7 @@ def assert_close_to_largest(actual, expected, context):
 
 
 @pytest.mark.parametrize(
-    "levels, stride, gcn_bias, stack_depth, T",
+    "levels, stride, center_input, stack_depth, T",
     [
         (1, 2, True, 1, 13),
         (1, 3, False, 2, 7),
@@ -345,10 +345,10 @@ def assert_close_to_largest(actual, expected, context):
         (3, 3, True, 1, 31),
     ],
 )
-def test_pooled_head_matches_the_full_decoder(levels, stride, gcn_bias, stack_depth, T):
+def test_pooled_head_matches_the_full_decoder(levels, stride, center_input, stack_depth, T):
     cfg = ModelConfig(
         cluster_feature_lens=(3, 4), num_classes=3, d_model=8, levels=levels, stride=stride,
-        stack_depth=stack_depth, gcn_bias=gcn_bias, span=2,
+        stack_depth=stack_depth, center_input=center_input, span=2,
     )
     synth_cfg = SynthConfig(
         num_classes=3, cluster_feature_lens=(3, 4), t_range=(T, T), temporal_span=2

@@ -1,9 +1,8 @@
-"""Model assembly: parameter keys, the optional layer knobs, folded inference."""
+"""Model assembly: parameter keys, the retired layer knobs, folded inference."""
 
 import json
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from stacked_stgcn.training import (
 )
 
 from dense_reference import window_copy
+from test_evaluate import WindowByWindow
 
 
 def tiny_config(**knobs):
@@ -43,28 +43,17 @@ def test_per_cluster_first_layer_keys():
     }
 
 
-@pytest.mark.parametrize(
-    "knob, added",
-    [
-        ("gcn_bias", {"block0/enc0/bias", "block0/bottleneck/bias"}),
-    ],
-)
-def test_knob_parameters_and_gradients(knob, added):
-    base = set(StgcnModel(tiny_config(), seed=0).params)
-    model = StgcnModel(tiny_config(**{knob: True}), seed=0)
-    assert set(model.params) - base == added
-    # A bias shifts every row of its channel, so the finite-difference step
-    # crosses the ReLU kink of any row within the step of zero: at zero biases
-    # one bottleneck pre-activation here sits at 2.4e-5. Check at nonzero biases.
-    rng = np.random.default_rng(0)
-    for key in sorted(added):
-        if key.endswith("/bias"):
-            model.params[key] = rng.uniform(-0.1, 0.1, model.params[key].shape).astype(DTYPE)
-    synth = SynthConfig(num_classes=3, cluster_feature_lens=(3, 4), t_range=(8, 8))
-    seq, _ = synth_generate(synth, 0)
-    reports = check_model_gradients(model, seq, "single", seed=0)
-    assert {r.name for r in reports} == set(model.params)
-    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+@pytest.mark.parametrize("knob, value", [("skip", False), ("decoder_stgcn", True),
+                                         ("gcn_bias", True)])
+def test_retired_knobs_are_refused(knob, value):
+    # every checkpoint header holds the other value; it loads and draws the same parameters
+    with pytest.raises(ConfigurationError, match=knob):
+        tiny_config(**{knob: value})
+    kept = StgcnModel(tiny_config(**{knob: not value}), seed=0)
+    base = StgcnModel(tiny_config(), seed=0)
+    assert list(kept.params) == list(parameter_table(tiny_config()))
+    assert all(np.array_equal(kept.params[k], base.params[k]) for k in base.params)
+    assert not any(path.endswith("/bias") for path in kept.params)
 
 
 # -- inference on folded weights ---------------------------------------------
@@ -87,23 +76,22 @@ def sequence_for(cfg, seed=0):
 
 def with_nonzero_biases(model, seed=1):
     rng = np.random.default_rng(seed)
-    for key, arr in model.params.items():
-        if key.endswith("/bias") or key == "head/b":
-            model.params[key] = rng.uniform(-0.1, 0.1, arr.shape).astype(DTYPE)
+    model.params["head/b"] = rng.uniform(-0.1, 0.1, model.params["head/b"].shape).astype(DTYPE)
     return model
 
 
+# the ``gcn_bias`` cases give the retired knob the one value it keeps
 @pytest.mark.parametrize(
     "cfg",
     [
         preset("cad120"),
         preset("charades_i3d"),
         preset("charades_vgg"),
-        tiny_config(gcn_bias=True),
+        tiny_config(gcn_bias=False),
         replace(tiny_config(), levels=0),
         tiny_config(stack_depth=2),
         tiny_config(center_input=False),
-        preset("charades_vgg", levels=0, gcn_bias=True),
+        preset("charades_vgg", levels=0, gcn_bias=False),
     ],
     ids=["cad120", "charades_i3d", "charades_vgg", "gcn_bias", "levels0",
          "stack_depth2", "no_centering", "vgg_levels0_bias"],
@@ -123,8 +111,10 @@ STGS_FIXTURE = Path(__file__).parent / "data" / "deformed_two_cluster.stgs"
 
 
 def per_window(model):
-    """``model`` behind ``forward_scores`` only, so sliding_infer scores window by window."""
-    return SimpleNamespace(forward_scores=model.forward_scores)
+    """``model``'s ``forward_scores`` on each window's copy, as the evaluate stubs score."""
+    stub = WindowByWindow()
+    stub.forward_scores = model.forward_scores
+    return stub
 
 
 def assert_windows_match_per_window_loop(model, seq, window, hop):
@@ -143,7 +133,7 @@ def assert_windows_match_per_window_loop(model, seq, window, hop):
         preset("cad120"),
         preset("charades_i3d"),
         preset("charades_vgg"),
-        tiny_config(gcn_bias=True),
+        tiny_config(gcn_bias=False),
         replace(tiny_config(), levels=0),
         tiny_config(stack_depth=2),
         tiny_config(center_input=False),
@@ -164,7 +154,7 @@ def test_score_windows_match_the_per_window_loop(cfg, window, hop):
 @pytest.mark.parametrize("window, hop", [(5, 2), (3, 3), (2, 1)])
 def test_score_windows_on_edges_across_window_borders(window, hop):
     seq = load_stgs(str(STGS_FIXTURE))  # span 2, gap-bridging and cross-cluster edges
-    model = with_nonzero_biases(StgcnModel(tiny_config(gcn_bias=True), seed=0))
+    model = with_nonzero_biases(StgcnModel(tiny_config(), seed=0))
     assert_windows_match_per_window_loop(model, seq, window, hop)
 
 
@@ -180,7 +170,7 @@ def taped_run(model, window):
 @pytest.mark.parametrize("cfg_name", ["gcn_bias", "charades_vgg"])
 def test_windows_match_the_sliced_and_padded_sequences_bit_for_bit(cfg_name):
     if cfg_name == "gcn_bias":  # span 2, gap-bridging and cross-cluster edges, T = 12
-        cfg, seq = tiny_config(gcn_bias=True), load_stgs(str(STGS_FIXTURE))
+        cfg, seq = tiny_config(gcn_bias=False), load_stgs(str(STGS_FIXTURE))
     else:  # the projection harmonization
         cfg = preset("charades_vgg")
         seq = sequence_for(cfg)
@@ -288,7 +278,7 @@ def test_folded_view_is_rebuilt_when_parameters_are_replaced():
 
 
 def test_folded_view_follows_the_store_version(tmp_path):
-    cfg = tiny_config(gcn_bias=True)
+    cfg = tiny_config()
     model = with_nonzero_biases(StgcnModel(cfg, seed=0))
     seq = sequence_for(cfg)
 
@@ -352,10 +342,10 @@ def count_or_inject(patch, op, call=None, value=0.0, spot=0):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("op", UNSCANNED_OPS)
 def test_a_non_finite_op_output_is_caught_at_a_boundary(monkeypatch, op, value):
-    # two blocks (a deconv decoder and the pooled head's tap_matmul), biases, and T = 13
+    # two blocks (a deconv decoder and the pooled head's tap_matmul), a head bias, and T = 13
     # steps, so the head crops rows at both levels; absent nodes give zero pooling weights
     cfg = ModelConfig(cluster_feature_lens=(3, 4), num_classes=3, d_model=4, levels=2, span=2,
-                      stack_depth=2, gcn_bias=True)
+                      stack_depth=2)
     seq = sequence_for(cfg)
     seq = apply_deformation(seq, sample_drop_schedule(seq, 0.3, np.random.default_rng(2)))
     seq = Window(seq, 0, 13).sequence()
