@@ -10,7 +10,8 @@ input step of a sequence subsampled by s); a dense matrix is the one-block
 case T = 1, b = 0.
 
 This module owns the layout: allocation (with :func:`allocatable`, the size
-check of every input-sized array), the symmetric edge scatter, stride
+check of every input-sized array, and :func:`fits_in_memory`, that of
+every input-sized loop), the symmetric edge scatter, stride
 subsampling and symmetric normalization (checked, or unchecked for blocks
 built symmetric). :func:`stacked_stgcn.tensor.banded_matmul`
 applies block arrays to taped tensors.
@@ -19,6 +20,7 @@ applies block arrays to taped tensors.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -63,6 +65,16 @@ def allocatable(shape: Tuple[int, ...], dtype) -> Tuple[int, ...]:
     if max(nbytes, *shape) > np.iinfo(np.intp).max:
         raise MemoryError(f"cannot allocate {nbytes} bytes for an array of shape {shape}")
     return shape
+
+
+def fits_in_memory(nbytes: int, what: str) -> None:
+    """MemoryError if ``nbytes``, a lower bound on what ``what`` holds, exceeds physical memory.
+
+    Loops whose trip count comes from input ask here first, sized in closed form."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise MemoryError(f"{what} need at least {nbytes} bytes, more than the "
+                          f"{physical} bytes of physical memory")
 
 
 def zeros(num_steps: int, band: int, num_nodes: int, dtype) -> np.ndarray:

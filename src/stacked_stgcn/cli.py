@@ -22,7 +22,7 @@ from .errors import ContractError, DimensionError, NumericalError, ValidationErr
 from .evaluate import evaluate_multi, evaluate_single, sliding_infer
 from .graph import StgSequence, load_stgs, save_stgs
 from .ingest import ingest_cad120_file
-from .gradcheck import check_model_gradients
+from .gradcheck import DEFAULT_MODEL, check_model_gradients
 from .model import ModelConfig, StgcnModel
 from .synth import SynthConfig, generate_dataset, synth_generate
 from .training import TrainConfig, load_checkpoint, train
@@ -167,27 +167,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.model_config:
-        model_cfg = _read(ModelConfig, args.model_config, "model config")
-        synth_cfg = SynthConfig(
-            num_classes=model_cfg.num_classes,
-            cluster_feature_lens=model_cfg.cluster_feature_lens,
-            t_range=(8, 8),
-            temporal_span=model_cfg.span,
-            mode=model_cfg.head_mode,
-        )
-    else:
-        model_cfg = ModelConfig(
-            cluster_feature_lens=(4, 6),
-            num_classes=3,
-            d_model=8,
-            levels=2,
-            stack_depth=2,
-            span=3,
-        )
-        synth_cfg = SynthConfig(
-            num_classes=3, cluster_feature_lens=(4, 6), t_range=(8, 8), mode="single"
-        )
+    model_cfg = (_read(ModelConfig, args.model_config, "model config") if args.model_config
+                 else DEFAULT_MODEL)
+    synth_cfg = SynthConfig(
+        num_classes=model_cfg.num_classes,
+        cluster_feature_lens=model_cfg.cluster_feature_lens,
+        t_range=(8, 8),
+        temporal_span=model_cfg.span,
+        mode=model_cfg.head_mode,
+    )
     seq, _ = synth_generate(synth_cfg, args.seed)
     model = StgcnModel(model_cfg, seed=args.seed)
     reports = check_model_gradients(model, seq, model_cfg.head_mode, seed=args.seed)

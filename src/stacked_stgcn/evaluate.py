@@ -24,7 +24,6 @@ from .tensor import DTYPE
 class ScoreTimeline:
     scores: np.ndarray    # (T, C) fused scores; valid where coverage >= 1
     coverage: np.ndarray  # (T,) number of windows covering each timestep
-    mode: str
 
 
 def window_starts(t_total: int, window: int, hop: int) -> List[int]:
@@ -48,23 +47,19 @@ def sliding_infer(
     window of a shorter sequence is zero-padded to ``window`` steps). A hop
     longer than the window would leave steps unscored, so it is refused.
     """
-    if window < 1 or hop < 1:
-        raise ValidationError("window and hop must be >= 1")
+    T, C = seq.num_steps, seq.num_classes
+    starts = window_starts(T, window, hop)
     if hop > window:
         raise ValidationError(f"hop {hop} exceeds window {window}: steps between windows "
                               "would go unscored")
-    T, C = seq.num_steps, seq.num_classes
     total = np.zeros((T, C), dtype=np.float64)
     coverage = np.zeros(T, dtype=np.int64)
-    starts = window_starts(T, window, hop)
     for start, scores in zip(starts, model.score_windows(seq, starts, window)):
         stop = min(start + window, T)  # a padded window keeps its first T rows
         total[start:stop] += scores[: stop - start]
         coverage[start:stop] += 1
     fused = np.where(coverage[:, None] > 0, total / np.maximum(coverage[:, None], 1), 0.0)
-    return ScoreTimeline(
-        scores=fused.astype(DTYPE), coverage=coverage, mode=seq.mode
-    )
+    return ScoreTimeline(scores=fused.astype(DTYPE), coverage=coverage)
 
 
 # the multi-label protocol scores 25 equally spaced timesteps per sequence

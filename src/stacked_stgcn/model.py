@@ -26,13 +26,13 @@ levels from :meth:`StgcnModel.prepare_levels` and runs the body.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as tn
-from .blocks import allocatable
+from .blocks import allocatable, fits_in_memory
 from .config import INT64_MAX, DictCodec
 from .errors import ConfigurationError, ValidationError
 from .graph import StgSequence, Window, build_adjacency
@@ -112,8 +112,14 @@ def parameter_table(cfg: ModelConfig) -> Dict[str, Tuple[Tuple[int, ...], Option
 
     A fan-in of ``None`` marks a zero-initialized bias, which draws nothing.
     Initialization draws from this table and checkpoint loading checks
-    against it.
+    against it. Past two blocks, their size is checked in closed form (the
+    first block and each later one) before the loop over blocks runs.
     """
+    if cfg.stack_depth > 2:
+        one, two = (sum(math.prod(shape) for shape, _ in table.values())
+                    for table in (parameter_table(replace(cfg, stack_depth=n)) for n in (1, 2)))
+        floats = one + (cfg.stack_depth - 1) * (two - one)
+        fits_in_memory(floats * np.dtype(DTYPE).itemsize, f"{cfg.stack_depth} hourglass blocks")
     d = cfg.d_model
     k = cfg.stride  # strided conv kernel size matches the stride
     table: Dict[str, Tuple[Tuple[int, ...], Optional[int]]] = {}

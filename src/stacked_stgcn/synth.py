@@ -10,12 +10,13 @@ oracle in tests.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocks import allocatable
+from .blocks import allocatable, fits_in_memory
 from .config import DictCodec
 from .errors import ValidationError
 from .graph import NODE_TYPES, FeatureCluster, NodeTrack, StgSequence
@@ -53,6 +54,16 @@ class SynthConfig(DictCodec):
     @property
     def num_tracks(self) -> int:
         return len(self.cluster_feature_lens) * self.tracks_per_cluster
+
+
+def _check_fits(cfg: SynthConfig, count: int) -> None:
+    """MemoryError unless the class means and ``count`` sequences' features and spatial
+    edges, at t_range[0] steps each, could fit: checked before any loop over them runs."""
+    step = cfg.tracks_per_cluster * sum(cfg.cluster_feature_lens) * np.dtype(DTYPE).itemsize
+    means = cfg.num_classes * (step + cfg.num_tracks * sys.getsizeof(np.empty(0, DTYPE)))
+    edges = cfg.num_tracks * (cfg.num_tracks - 1) // 2 * 32  # a float64 (t, i, j, w) row per pair
+    fits_in_memory(means + count * cfg.t_range[0] * (step + edges),
+                   f"{count} sequences and their means")
 
 
 def make_class_means(cfg: SynthConfig, rng: np.random.Generator) -> List[List[np.ndarray]]:
@@ -98,6 +109,7 @@ def synth_generate(
     """
     rng = np.random.default_rng(seed)
     if means is None:
+        _check_fits(cfg, 1)
         means = make_class_means(cfg, rng)
     T = int(rng.integers(*cfg.t_range, endpoint=True))
     N = cfg.num_tracks
@@ -166,11 +178,12 @@ def generate_dataset(
     cfg: SynthConfig, seed: int, count: int
 ) -> Tuple[List[StgSequence], dict]:
     """Generate ``count`` sequences sharing one set of class means, and their oracle."""
-    children = np.random.SeedSequence(seed).spawn(count + 1)
-    means = make_class_means(cfg, np.random.default_rng(children[0]))
+    _check_fits(cfg, count)
+    root = np.random.SeedSequence(seed)  # one child per draw, spawned as it is needed
+    means = make_class_means(cfg, np.random.default_rng(root.spawn(1)[0]))
     seqs = [
-        synth_generate(cfg, int(child.generate_state(1)[0]), means=means)[0]
-        for child in children[1:]
+        synth_generate(cfg, int(root.spawn(1)[0].generate_state(1)[0]), means=means)[0]
+        for _ in range(count)
     ]
     return seqs, {"config": cfg.to_dict(), "means": means}
 

@@ -37,7 +37,7 @@ class TrainConfig(DictCodec):
     max_window: int = 50
     epochs: int = 30
     seed: int = 0
-    momentum: float = 0.0
+    momentum: float = 0.0  # every checkpoint header holds it; any other value is refused
 
     def __post_init__(self):
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
@@ -45,8 +45,8 @@ class TrainConfig(DictCodec):
         with np.errstate(over="ignore"):
             if not np.isfinite(DTYPE(self.lr0)):
                 raise ValidationError(f"lr0 {self.lr0!r} overflows float32, the update's precision")
-        if not 0 <= self.momentum < 1:
-            raise ValidationError("momentum must be in [0, 1)")
+        if self.momentum != 0:
+            raise ValidationError("momentum: the update is plain SGD; must be 0")
         if not 0 < self.sched_drop <= 1:
             raise ValidationError("sched_drop must be in (0, 1]")
         if min(self.sched_step, self.max_window, self.epochs) < 1:
@@ -132,10 +132,8 @@ def sgd_step(
     params: Dict[str, np.ndarray],
     grads: Union[Mapping[str, np.ndarray], Iterable[Tuple[str, np.ndarray]]],
     lr: float,
-    momentum: float = 0.0,
-    velocity: Optional[Dict[str, np.ndarray]] = None,
 ) -> None:
-    """In-place SGD update p <- p - lr * g, with optional momentum.
+    """In-place SGD update p <- p - lr * g.
 
     ``grads`` maps parameter paths to gradients, or is an iterable of
     ``(path, gradient)`` pairs, such as :func:`train`'s stream from
@@ -163,18 +161,10 @@ def sgd_step(
         if not p.flags.c_contiguous:
             raise ContractError(f"parameter {key!r} is not C-contiguous")
         flat, g = p.reshape(-1), g.reshape(-1)
-        if momentum > 0:
-            assert velocity is not None
-            v = velocity.setdefault(key, np.zeros_like(p)).reshape(-1)
         for lo in range(0, flat.size, UPDATE_BLOCK):
             part = slice(lo, lo + UPDATE_BLOCK)
-            block, gb = flat[part], g[part]
-            if momentum > 0:
-                vb = v[part]
-                vb *= DTYPE(momentum)
-                vb += gb
-                gb = vb
-            block -= np.multiply(gb, step, out=tmp[: len(block)])
+            block = flat[part]
+            block -= np.multiply(g[part], step, out=tmp[: len(block)])
             if not np.isfinite(block).all():
                 non_finite.add(key)
         params[key] = p  # the same array: bumps a ParameterStore's version
@@ -272,7 +262,6 @@ def train(
         model = StgcnModel(model_cfg, seed=train_cfg.seed)
     keep_freed_heap()
     rng = np.random.default_rng(train_cfg.seed + 1)
-    velocity: Dict[str, np.ndarray] = {}
     curve: List[CurvePoint] = []
 
     for epoch in range(train_cfg.epochs):
@@ -290,7 +279,7 @@ def train(
                 )
             paths = {t.tid: path for path, t in taped.items()}
             stream = ((paths[tid], g) for tid, g in gradients(tape, loss))
-            sgd_step(model.params, stream, lr, train_cfg.momentum, velocity)
+            sgd_step(model.params, stream, lr)
             losses.append(loss_val)
         curve.append(CurvePoint(epoch, "train", float(np.mean(losses)), lr))
         if out_dir is not None:

@@ -349,10 +349,14 @@ def test_a_window_too_large_to_allocate_exits_2(dataset, tmp_path, capsys, comma
         ("infer", "window", 10**18, "error: out of memory"),
         ("train", "train", {"max_window": 10**18}, "error: out of memory"),
         ("synth", "synth", {"t_range": [12, 10**14]}, "error: out of memory"),
+        ("train", "model", {"stack_depth": 10**9}, "error: out of memory"),
+        ("synth", "synth", {"num_classes": 10**9}, "error: out of memory"),
+        ("synth", "synth", {"tracks_per_cluster": 10**9}, "error: out of memory"),
     ],
     ids=["num-classes-past-int64", "feature-len-past-int64", "max-window-past-int64",
          "t-range-past-int64", "levels-1e9", "eval-window-1e18", "infer-window-1e18",
-         "max-window-1e18", "t-range-1e14"],
+         "max-window-1e18", "t-range-1e14", "stack-depth-1e9", "synth-num-classes-1e9",
+         "synth-tracks-per-cluster-1e9"],
 )
 def test_an_impossible_size_exits_2_at_once_and_leaves_no_output(
     dataset, tmp_path, capsys, command, which, change, message
@@ -382,7 +386,9 @@ def test_an_impossible_size_exits_2_at_once_and_leaves_no_output(
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
-    assert elapsed < 5  # the levels case hung before its parameter table was refused
+    # the levels case hung before its parameter table was refused, and the
+    # stack_depth, num_classes and tracks_per_cluster ones before their loops were sized
+    assert elapsed < 5
 
 
 def sequence_dir(dataset, command):
@@ -643,14 +649,16 @@ def test_eval_rejects_truncated_or_missing_checkpoint(tmp_path, capsys, cut, key
         assert key in err and "shape" in err and "Traceback" not in err
 
 
-def eval_with_retired_knob_flipped(tmp_path, capsys, key, written):
-    """Exit code and stderr of ``eval`` on a checkpoint whose header flips ``key`` from ``written``."""
+def eval_with_retired_knob_flipped(tmp_path, capsys, key, written, value=None,
+                                   section="model_config"):
+    """Exit code and stderr of ``eval`` on a checkpoint whose header sets ``section.key``
+    from ``written`` to ``value`` (by default, ``not written``)."""
     manifest, ckpt, _ = multi_label_data(tmp_path)
     raw = ckpt.read_bytes()
     n = header_length(raw)
     header = json.loads(raw[4:4 + n])
-    assert header["model_config"][key] is written  # as in every header written
-    header["model_config"][key] = not written
+    assert header[section][key] == written  # as in every header written
+    header[section][key] = not written if value is None else value
     blob = json.dumps(header, sort_keys=True).encode()
     ckpt.write_bytes(len(blob).to_bytes(4, "little") + blob + raw[4 + n:])
     out = tmp_path / "metrics.json"
@@ -672,6 +680,12 @@ def test_eval_rejects_a_checkpoint_without_skip_connections(tmp_path, capsys):
 def test_eval_rejects_a_checkpoint_whose_layers_have_a_bias(tmp_path, capsys):
     rc, err = eval_with_retired_knob_flipped(tmp_path, capsys, "gcn_bias", False)
     assert rc == 2 and "gcn_bias" in err and "Traceback" not in err
+
+
+def test_eval_rejects_a_checkpoint_trained_with_momentum(tmp_path, capsys):
+    rc, err = eval_with_retired_knob_flipped(tmp_path, capsys, "momentum", 0.0, 0.9,
+                                             section="train_config")
+    assert rc == 2 and "momentum" in err and "Traceback" not in err
 
 
 def test_eval_on_non_finite_checkpoint_exits_3(tmp_path, capsys):
@@ -954,11 +968,13 @@ def test_eval_survives_random_byte_edits(tmp_path, capsys):
         ("train", {"momentum": -0.5}, "momentum"),
         ("train", {"momentum": 1.0}, "momentum"),
         ("model", {"gcn_bias": True}, "gcn_bias"),
+        ("train", {"momentum": 0.9}, "momentum"),
     ],
     ids=["d-model-string", "levels-float", "lens-int", "skip-string", "d-model-negative",
          "d-model-zero", "num-classes-zero", "feature-len-negative", "node-type-twice",
          "decoder-stgcn", "skip-false", "epochs-string", "max-window-float", "lr0-nan", "lr0-infinity",
-         "lr0-overflows-float32", "momentum-negative", "momentum-one", "gcn-bias"],
+         "lr0-overflows-float32", "momentum-negative", "momentum-one", "gcn-bias",
+         "momentum-nonzero"],
 )
 def test_train_rejects_malformed_config(dataset, tmp_path, capsys, which, change, key):
     model_change, train_change = (change, {}) if which == "model" else ({}, change)

@@ -161,11 +161,6 @@ DELETE = object()
 # Left out of the pool: INT64_MAX at these keys is read as valid and then runs for hours.
 TOO_LONG = {
     ("train", "epochs"),            # a valid run of 2^63 epochs
-    ("synth", "train_count"),       # a valid dataset of 2^63 sequences
-    ("synth", "test_count"),
-    ("model", "stack_depth"),       # parameter_table walks every block before any size check
-    ("synth", "num_classes"),       # make_class_means loops num_classes x tracks_per_cluster
-    ("synth", "tracks_per_cluster"),
 }
 FUZZ_CASES = 400
 

@@ -143,38 +143,26 @@ def test_sgd_update_rule(rng):
     assert np.array_equal(params["w"], (w - np.float32(0.05) * g).astype(np.float32))
 
 
-def test_sgd_momentum_is_heavy_ball(rng):
-    w, g1, g2 = (rng.uniform(-1, 1, (2, 3)).astype(np.float32) for _ in range(3))
-    params, velocity = {"w": w.copy()}, {}
-    sgd_step(params, {"w": g1}, lr=0.1, momentum=0.9, velocity=velocity)
-    sgd_step(params, {"w": g2}, lr=0.1, momentum=0.9, velocity=velocity)
-    # v1 = g1, v2 = 0.9 v1 + g2, w2 = w - 0.1 v1 - 0.1 v2
-    v2 = 0.9 * g1.astype(np.float64) + g2
-    expected = w - 0.1 * g1.astype(np.float64) - 0.1 * v2
-    np.testing.assert_allclose(velocity["w"], v2, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(params["w"], expected, rtol=0, atol=1e-6)
+def test_a_nonzero_momentum_is_refused():
+    # the update is plain SGD; the field stays because every checkpoint header holds it
+    with pytest.raises(ValidationError, match="momentum"):
+        TrainConfig(momentum=0.9)
+    assert TrainConfig(momentum=0.0) == TrainConfig()
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_blocked_sgd_step_equals_the_whole_array_update(rng, momentum):
+def test_blocked_sgd_step_equals_the_whole_array_update(rng):
     # sizes off the block grid: one short block, a partial last block, a 2-D parameter
     block = training.UPDATE_BLOCK
     shapes = {"a": (5,), "b": (block + 3,), "c": (2 * block - 1,), "d": (3, block // 2 + 7)}
     params = {k: rng.uniform(-1, 1, s).astype(np.float32) for k, s in shapes.items()}
     want = {k: p.copy() for k, p in params.items()}
-    velocity, want_v = {}, {k: np.zeros_like(p) for k, p in params.items()}
     for lr in (0.05, 0.3):
         grads = {k: rng.uniform(-1, 1, s).astype(np.float32) for k, s in shapes.items()}
-        sgd_step(params, grads, lr, momentum, velocity)
+        sgd_step(params, grads, lr)
         for k, g in grads.items():
-            if momentum > 0:
-                want_v[k] = want_v[k] * np.float32(momentum) + g
-                g = want_v[k]
             want[k] = want[k] - np.float32(lr) * g
     for k in shapes:
         assert params[k].dtype == np.float32 and np.array_equal(params[k], want[k]), k
-        if momentum > 0:
-            assert np.array_equal(velocity[k], want_v[k]), k
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -273,7 +261,7 @@ def test_training_updates_the_given_model_in_place():
     model = StgcnModel(TINY_MODEL, seed=0)
     arrays = dict(model.params)
     initial = {k: arr.copy() for k, arr in arrays.items()}
-    cfg = TrainConfig(lr0=0.01, epochs=2, max_window=16, seed=0, momentum=0.5)
+    cfg = TrainConfig(lr0=0.01, epochs=2, max_window=16, seed=0)
     trained, _ = train(data, TINY_MODEL, cfg, model=model)
     assert trained is model
     assert all(model.params[k] is arr for k, arr in arrays.items())
@@ -402,26 +390,19 @@ def test_checkpoint_from_separate_first_layer_path_still_loads(tmp_path):
 # -- the streamed update -----------------------------------------------------
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])
-def test_a_streamed_sgd_step_equals_the_dict_form_byte_for_byte(momentum):
+def test_a_streamed_sgd_step_equals_the_dict_form_byte_for_byte():
     streamed, collected = StgcnModel(TINY_MODEL, seed=1), StgcnModel(TINY_MODEL, seed=1)
-    v_streamed, v_collected = {}, {}
-    for seq in tiny_dataset(2):  # two steps, so the velocity carries over
+    for seq in tiny_dataset(2):  # two steps, so the second runs on updated parameters
         window = train_window_sample(seq, 16, np.random.default_rng(0))
         tape, taped, scores = collected.forward_taped(window)
         grads = backward(tape, training.sequence_loss(scores, window, "single"))
-        sgd_step(collected.params, {path: grads[t.tid] for path, t in taped.items()},
-                 0.05, momentum, v_collected)
+        sgd_step(collected.params, {path: grads[t.tid] for path, t in taped.items()}, 0.05)
         tape, taped, scores = streamed.forward_taped(window)
         paths = {t.tid: path for path, t in taped.items()}
         stream = gradients(tape, training.sequence_loss(scores, window, "single"))
-        sgd_step(streamed.params, ((paths[tid], g) for tid, g in stream),
-                 0.05, momentum, v_streamed)
+        sgd_step(streamed.params, ((paths[tid], g) for tid, g in stream), 0.05)
     for key, p in collected.params.items():
         assert streamed.params[key].tobytes() == p.tobytes(), key
-    assert v_streamed.keys() == v_collected.keys() and bool(v_streamed) == (momentum > 0)
-    for key, v in v_collected.items():
-        assert v_streamed[key].tobytes() == v.tobytes(), key
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
